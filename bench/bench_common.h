@@ -165,7 +165,7 @@ class SmokeReporter : public benchmark::BenchmarkReporter {
     std::string body;
     for (const auto& [name, entry] : entries_) {
       if (!body.empty()) body += ",";
-      body += "\"" + Escape(name) + "\":" + entry;
+      body.append("\"").append(Escape(name)).append("\":").append(entry);
     }
     GetOutputStream() << "{\"bench\":\"" << Escape(bench_)
                       << "\",\"metrics\":{" << body << "}}\n";

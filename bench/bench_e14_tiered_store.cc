@@ -90,11 +90,8 @@ BENCHMARK(SpillThroughput)->ArgNames({"batch"})->Args({16})->Args({256});
 // --- Backfill: a late view over a mostly-on-disk history. Each iteration
 // registers a fresh view with backfill (full replay), then drops it.
 void Backfill(benchmark::State& state) {
-  const bool compiled = state.range(0) != 0;
   ScratchDir dir("backfill");
-  DatabaseOptions options = TieredOptions(dir.path(), /*hot_rows=*/4096);
-  options.maintenance.use_compiled_plans = compiled;
-  ChronicleDatabase db(options);
+  ChronicleDatabase db(TieredOptions(dir.path(), /*hot_rows=*/4096));
   Check(db.CreateChronicle("calls", CallRecordGenerator::RecordSchema(),
                            RetentionPolicy::Tiered(4096))
             .status());
@@ -127,7 +124,7 @@ void Backfill(benchmark::State& state) {
       static_cast<double>(rows_replayed), benchmark::Counter::kIsRate);
   state.counters["history_rows"] = static_cast<double>(total_rows);
 }
-BENCHMARK(Backfill)->ArgNames({"compiled"})->Args({0})->Args({1});
+BENCHMARK(Backfill);
 
 // --- WarmScan: the merged warm+hot ScanRetained visitor path.
 void WarmScan(benchmark::State& state) {

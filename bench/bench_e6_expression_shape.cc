@@ -13,9 +13,9 @@
 
 #include <cmath>
 
-#include "algebra/delta_engine.h"
 #include "bench_common.h"
 #include "common/random.h"
+#include "exec/plan_compiler.h"
 #include "storage/chronicle_group.h"
 
 namespace chronicle {
@@ -76,11 +76,12 @@ void KeyJoinChain(benchmark::State& state) {
   for (int64_t i = 0; i < j; ++i) {
     plan = Unwrap(CaExpr::RelKeyJoin(plan, setup.rel.get(), "caller"));
   }
-  DeltaEngine engine;
+  exec::DeltaPlanPtr compiled = Unwrap(exec::CompileDeltaPlan(plan));
+  exec::PlanScratch scratch;
   DeltaStats stats;
   for (auto _ : state) {
     AppendEvent event = setup.NextEvent(100000);
-    auto delta = engine.ComputeDelta(*plan, event, &stats);
+    auto delta = compiled->Execute(event, &scratch, &stats);
     benchmark::DoNotOptimize(delta);
   }
   state.counters["j"] = static_cast<double>(j);
@@ -96,11 +97,12 @@ void CrossChain(benchmark::State& state) {
   for (int64_t i = 0; i < j; ++i) {
     plan = Unwrap(CaExpr::RelCross(plan, setup.rel.get()));
   }
-  DeltaEngine engine;
+  exec::DeltaPlanPtr compiled = Unwrap(exec::CompileDeltaPlan(plan));
+  exec::PlanScratch scratch;
   DeltaStats stats;
   for (auto _ : state) {
     AppendEvent event = setup.NextEvent(kSmallRel);
-    auto delta = engine.ComputeDelta(*plan, event, &stats);
+    auto delta = compiled->Execute(event, &scratch, &stats);
     benchmark::DoNotOptimize(delta);
   }
   state.counters["j"] = static_cast<double>(j);
@@ -121,11 +123,12 @@ void UnionFan(benchmark::State& state) {
         Unwrap(CaExpr::Select(scan, Gt(Col("minutes"), Lit(Value(i)))));
     plan = Unwrap(CaExpr::Union(plan, branch));
   }
-  DeltaEngine engine;
+  exec::DeltaPlanPtr compiled = Unwrap(exec::CompileDeltaPlan(plan));
+  exec::PlanScratch scratch;
   DeltaStats stats;
   for (auto _ : state) {
     AppendEvent event = setup.NextEvent(16);
-    auto delta = engine.ComputeDelta(*plan, event, &stats);
+    auto delta = compiled->Execute(event, &scratch, &stats);
     benchmark::DoNotOptimize(delta);
   }
   state.counters["u"] = static_cast<double>(u);

@@ -16,9 +16,9 @@
 
 #include <algorithm>
 
-#include "algebra/delta_engine.h"
 #include "bench_common.h"
 #include "db/database.h"
+#include "exec/plan_compiler.h"
 #include "workload/call_records.h"
 
 namespace chronicle {
@@ -40,7 +40,8 @@ void RunSpace(benchmark::State& state, RetentionPolicy retention) {
     CallRecordOptions options;
     options.num_accounts = 4096;  // |V| saturates at 4096 groups
     CallRecordGenerator gen(options);
-    DeltaEngine probe;
+    exec::DeltaPlanPtr probe = Unwrap(exec::CompileDeltaPlan(scan));
+    exec::PlanScratch scratch;
     size_t delta_peak = 0;
     Chronon chronon = 0;
     int64_t remaining = stream_size;
@@ -49,7 +50,7 @@ void RunSpace(benchmark::State& state, RetentionPolicy retention) {
       AppendResult result =
           Unwrap(db.Append("calls", gen.NextBatch(n), ++chronon));
       DeltaStats stats;
-      auto delta = probe.ComputeDelta(*scan, result.event, &stats);
+      auto delta = probe->Execute(result.event, &scratch, &stats);
       benchmark::DoNotOptimize(delta);
       delta_peak = std::max(delta_peak, stats.max_intermediate_rows);
       remaining -= static_cast<int64_t>(n);

@@ -252,7 +252,7 @@ std::string AggSpec::ToString() const {
   out += kind_ == AggKind::kCount ? "*" : input_column_;
   out += ")";
   if (kind_ == AggKind::kTieredDiscount) {
-    out += "[" + schedule_.ToString() + "]";
+    out.append("[").append(schedule_.ToString()).append("]");
   }
   out += " AS " + output_name_;
   return out;

@@ -320,10 +320,10 @@ void CaExpr::ToStringRec(int indent, std::string* out) const {
   out->append(CaOpToString(op_));
   switch (op_) {
     case CaOp::kScan:
-      out->append("(" + label_ + ")");
+      out->append("(").append(label_).append(")");
       break;
     case CaOp::kSelect:
-      out->append("[" + predicate_->ToString() + "]");
+      out->append("[").append(predicate_->ToString()).append("]");
       break;
     case CaOp::kProject:
     case CaOp::kProjectDropSn: {
@@ -353,7 +353,7 @@ void CaExpr::ToStringRec(int indent, std::string* out) const {
     case CaOp::kRelCross:
     case CaOp::kRelKeyJoin:
     case CaOp::kRelBoundedJoin:
-      out->append("[" + relation_->name() + "]");
+      out->append("[").append(relation_->name()).append("]");
       break;
     case CaOp::kSeqThetaJoin:
       out->append("[SN ");

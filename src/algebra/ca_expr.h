@@ -19,7 +19,7 @@
 // ProjectDropSn, GroupByNoSn, ChronicleCross, SeqThetaJoin — so that
 // algebra/validate.h can reject them with precise diagnostics and the
 // baseline engine can demonstrate *why* they are excluded (their maintenance
-// cost depends on |C|). The incremental DeltaEngine refuses to touch them.
+// cost depends on |C|). The delta plan compiler refuses to lower them.
 //
 // Nodes are immutable after construction and shared via shared_ptr<const>,
 // so subexpressions can be reused across view definitions.

@@ -255,6 +255,19 @@ ScalarExprPtr ScalarExpr::Clone() const {
   return e;
 }
 
+namespace {
+
+// "(lhs op rhs)", built by appends: GCC 12 misreports -Wrestrict on
+// const char* + std::string&& chains.
+std::string Infix(const std::string& lhs, const char* op,
+                  const std::string& rhs) {
+  std::string out = "(";
+  out.append(lhs).append(" ").append(op).append(" ").append(rhs).append(")");
+  return out;
+}
+
+}  // namespace
+
 std::string ScalarExpr::ToString() const {
   switch (kind_) {
     case ExprKind::kColumn:
@@ -266,20 +279,20 @@ std::string ScalarExpr::ToString() const {
     case ExprKind::kLiteral:
       return literal_.ToString();
     case ExprKind::kCompare:
-      return "(" + children_[0]->ToString() + " " +
-             CompareOpToString(compare_op_) + " " + children_[1]->ToString() +
-             ")";
+      return Infix(children_[0]->ToString(), CompareOpToString(compare_op_),
+                   children_[1]->ToString());
     case ExprKind::kAnd:
-      return "(" + children_[0]->ToString() + " AND " +
-             children_[1]->ToString() + ")";
+      return Infix(children_[0]->ToString(), "AND", children_[1]->ToString());
     case ExprKind::kOr:
-      return "(" + children_[0]->ToString() + " OR " + children_[1]->ToString() +
-             ")";
-    case ExprKind::kNot:
-      return "(NOT " + children_[0]->ToString() + ")";
+      return Infix(children_[0]->ToString(), "OR", children_[1]->ToString());
+    case ExprKind::kNot: {
+      std::string out = "(NOT ";
+      out.append(children_[0]->ToString()).append(")");
+      return out;
+    }
     case ExprKind::kArith:
-      return "(" + children_[0]->ToString() + " " + ArithOpToString(arith_op_) +
-             " " + children_[1]->ToString() + ")";
+      return Infix(children_[0]->ToString(), ArithOpToString(arith_op_),
+                   children_[1]->ToString());
     case ExprKind::kCase: {
       std::string out = "CASE";
       const size_t pairs = (children_.size() - 1) / 2;

@@ -210,7 +210,7 @@ Result<std::vector<ChronicleRow>> NaiveEngine::Evaluate(
       for (const ChronicleRow& row : child) {
         Tuple key;
         key.reserve(expr.group_columns().size() + 1);
-        if (with_sn) key.push_back(Value(static_cast<int64_t>(row.sn)));
+        if (with_sn) key.emplace_back(static_cast<int64_t>(row.sn));
         for (size_t idx : expr.group_columns()) key.push_back(row.values[idx]);
         std::vector<AggState>* states = groups.Find(key);
         if (states == nullptr) {

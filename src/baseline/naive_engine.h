@@ -20,10 +20,11 @@
 // history is supplied the engine uses current relation contents (exact
 // whenever relations did not change mid-stream).
 //
-// Semantics match the DeltaEngine exactly: a chronicle is a set of
-// (SN, payload) rows; Union/Difference/Project deduplicate.
+// Semantics match the compiled delta plans (exec/delta_plan.h) exactly: a
+// chronicle is a set of (SN, payload) rows; Union/Difference/Project
+// deduplicate.
 //
-// Unlike the DeltaEngine, this engine also evaluates the four Theorem 4.3
+// Unlike the delta plans, this engine also evaluates the four Theorem 4.3
 // constructs (ProjectDropSn, GroupByNoSn, ChronicleCross, SeqThetaJoin) —
 // demonstrating that they are *expressible* in relational algebra, just
 // not incrementally maintainable without chronicle access. Conventions for

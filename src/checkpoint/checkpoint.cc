@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "checkpoint/serde.h"
+#include "wal/wal_file.h"
 
 namespace chronicle {
 namespace checkpoint {
@@ -313,14 +314,9 @@ Result<uint64_t> CheckpointWatermark(const std::string& image) {
 Status SaveDatabaseToFile(const ChronicleDatabase& db,
                           const std::string& path) {
   CHRONICLE_ASSIGN_OR_RETURN(std::string image, SaveDatabase(db));
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::InvalidArgument("cannot open '" + path + "' for writing");
-  }
-  out.write(image.data(), static_cast<std::streamsize>(image.size()));
-  out.flush();
-  if (!out) return Status::Internal("short write to '" + path + "'");
-  return Status::OK();
+  // Never truncate the previous checkpoint in place: a crash mid-write
+  // must leave it restorable.
+  return wal::AtomicWriteFile(path, image);
 }
 
 Status RestoreDatabaseFromFile(const std::string& path, ChronicleDatabase* db) {

@@ -86,22 +86,15 @@ void TupleRefSet::Grow() {
   }
 }
 
-void PlanScratch::Prepare(size_t num_slots) {
-  if (slots_.size() < num_slots) slots_.resize(num_slots);
-  if (col_slots_.size() < num_slots) col_slots_.resize(num_slots);
-  if (slot_form_.size() < num_slots) slot_form_.resize(num_slots);
-  // clear() keeps each slot's capacity: steady-state ticks reuse it.
-  for (size_t i = 0; i < num_slots; ++i) {
-    slots_[i].clear();
-    col_slots_[i].Clear();
-    slot_form_[i] = 0;
-  }
-  if (profile_slots_) {
-    slot_ns_.assign(num_slots, 0);
-    slot_rows_.assign(num_slots, 0);
-    slot_vec_.assign(num_slots, 0);
-  }
-  arena_.Reset();
+void PlanScratch::Reserve(size_t num_slots) {
+  if (slots_.size() >= num_slots) return;
+  slots_.resize(num_slots);
+  col_slots_.resize(num_slots);
+  slot_form_.resize(num_slots);
+  stamp_.resize(num_slots);
+  slot_ns_.resize(num_slots);
+  slot_rows_.resize(num_slots);
+  slot_vec_.resize(num_slots);
 }
 
 void PlanScratch::EnsureRowForm(uint32_t slot) {
@@ -125,16 +118,43 @@ bool PlanScratch::EnsureColForm(uint32_t slot, const Schema& schema) {
 Result<const std::vector<Tuple>*> DeltaPlan::Execute(const AppendEvent& event,
                                                      PlanScratch* scratch,
                                                      DeltaStats* stats) const {
-  scratch->Prepare(num_slots());
+  scratch->BeginTick();
+  return ExecuteInTick(event, scratch, stats);
+}
+
+Result<const std::vector<Tuple>*> DeltaPlan::ExecuteInTick(
+    const AppendEvent& event, PlanScratch* scratch, DeltaStats* stats) const {
+  scratch->Reserve(slot_bound_);
   // The profiling branch is a single well-predicted test per instruction
   // when off; the clock reads only happen on sampled ticks.
   const bool profile = scratch->profile_slots_;
   const bool vec_on = scratch->columnar_enabled_;
+  const uint64_t tick = scratch->tick_;
   int64_t instr_start_ns = 0;
   for (size_t idx = 0; idx < instrs_.size(); ++idx) {
     const PlanInstr& instr = instrs_[idx];
+    const uint32_t slot = program_slots_[idx];
+    if (scratch->stamp_[slot] == tick) {
+      // Another plan of the program (or an earlier call of this one)
+      // already computed this slot this tick: serve it.
+      ++scratch->shared_hits_;
+      if (profile) {
+        scratch->slot_ns_[slot] = 0;
+        scratch->slot_rows_[slot] =
+            (scratch->slot_form_[slot] & PlanScratch::kColsValid)
+                ? scratch->col_slots_[slot].size()
+                : scratch->slots_[slot].size();
+        scratch->slot_vec_[slot] = 0;
+      }
+      continue;
+    }
+    ++scratch->shared_misses_;
     if (profile) instr_start_ns = ProfileNowNanos();
+    scratch->ResetSlot(slot);
     const CaExpr& node = *instr.node;
+    const size_t arity = node.num_children();
+    const uint32_t in0 = arity >= 1 ? program_slots_[instr.in0] : 0;
+    const uint32_t in1 = arity >= 2 ? program_slots_[instr.in1] : 0;
     // Engine dispatch: instructions the compiler marked columnar try the
     // vector kernel first; a per-tick kernel refusal (transposition type
     // check, relation cell mismatch, cross-product overflow) falls through
@@ -143,16 +163,13 @@ Result<const std::vector<Tuple>*> DeltaPlan::Execute(const AppendEvent& event,
     const bool vec_done = vec_on && instr.columnar &&
                           ExecuteVector(idx, event, scratch, stats);
     if (vec_done) {
-      scratch->slot_form_[instr.out] = PlanScratch::kColsValid;
-      produced = scratch->col_slots_[instr.out].size();
+      scratch->slot_form_[slot] = PlanScratch::kColsValid;
+      produced = scratch->col_slots_[slot].size();
     } else {
     // Row arms consume row slots; materialize any columnar inputs first.
-    {
-      const size_t arity = node.num_children();
-      if (arity >= 1) scratch->EnsureRowForm(instr.in0);
-      if (arity >= 2) scratch->EnsureRowForm(instr.in1);
-    }
-    std::vector<Tuple>& out = scratch->slots_[instr.out];
+    if (arity >= 1) scratch->EnsureRowForm(in0);
+    if (arity >= 2) scratch->EnsureRowForm(in1);
+    std::vector<Tuple>& out = scratch->slots_[slot];
     switch (instr.op) {
       case PlanOp::kScan: {
         // Set semantics: identical tuples appended under one SN are one
@@ -169,7 +186,7 @@ Result<const std::vector<Tuple>*> DeltaPlan::Execute(const AppendEvent& event,
       }
 
       case PlanOp::kSelect: {
-        const std::vector<Tuple>& in = scratch->slots_[instr.in0];
+        const std::vector<Tuple>& in = scratch->slots_[in0];
         out.reserve(in.size());
         const ScalarExpr* predicate = node.predicate();
         for (const Tuple& t : in) {
@@ -181,7 +198,7 @@ Result<const std::vector<Tuple>*> DeltaPlan::Execute(const AppendEvent& event,
       }
 
       case PlanOp::kProject: {
-        const std::vector<Tuple>& in = scratch->slots_[instr.in0];
+        const std::vector<Tuple>& in = scratch->slots_[in0];
         out.reserve(in.size());
         const std::vector<size_t>& projection = node.projection();
         // Projection can merge rows that differed only on dropped columns.
@@ -201,8 +218,8 @@ Result<const std::vector<Tuple>*> DeltaPlan::Execute(const AppendEvent& event,
       case PlanOp::kSeqJoin: {
         // One tick = one SN, so the SN-equijoin of the deltas is their full
         // pairing (Theorem 4.1).
-        const std::vector<Tuple>& left = scratch->slots_[instr.in0];
-        const std::vector<Tuple>& right = scratch->slots_[instr.in1];
+        const std::vector<Tuple>& left = scratch->slots_[in0];
+        const std::vector<Tuple>& right = scratch->slots_[in1];
         ReserveProduct(&out, left.size(), right.size());
         for (const Tuple& l : left) {
           for (const Tuple& r : right) EmitConcat(&out, l, r);
@@ -211,8 +228,8 @@ Result<const std::vector<Tuple>*> DeltaPlan::Execute(const AppendEvent& event,
       }
 
       case PlanOp::kUnion: {
-        const std::vector<Tuple>& left = scratch->slots_[instr.in0];
-        const std::vector<Tuple>& right = scratch->slots_[instr.in1];
+        const std::vector<Tuple>& left = scratch->slots_[in0];
+        const std::vector<Tuple>& right = scratch->slots_[in1];
         out.reserve(left.size() + right.size());
         scratch->seen_.Clear();
         for (const Tuple& t : left) {
@@ -226,8 +243,8 @@ Result<const std::vector<Tuple>*> DeltaPlan::Execute(const AppendEvent& event,
 
       case PlanOp::kDifference: {
         // Δ(E1 − E2) = ΔE1 − ΔE2 exactly (Theorem 4.1 proof).
-        const std::vector<Tuple>& left = scratch->slots_[instr.in0];
-        const std::vector<Tuple>& right = scratch->slots_[instr.in1];
+        const std::vector<Tuple>& left = scratch->slots_[in0];
+        const std::vector<Tuple>& right = scratch->slots_[in1];
         scratch->removed_.Clear();
         for (const Tuple& t : right) scratch->removed_.Insert(&t);
         out.reserve(left.size());
@@ -245,7 +262,7 @@ Result<const std::vector<Tuple>*> DeltaPlan::Execute(const AppendEvent& event,
       case PlanOp::kGroupBySeq: {
         // SN is in the grouping list, so appended tuples form brand-new
         // groups: aggregate within the tick only.
-        const std::vector<Tuple>& in = scratch->slots_[instr.in0];
+        const std::vector<Tuple>& in = scratch->slots_[in0];
         const std::vector<size_t>& group_columns = node.group_columns();
         const std::vector<AggSpec>& aggregates = node.aggregates();
         PlanScratch::GroupMap& groups = scratch->groups_;
@@ -288,7 +305,7 @@ Result<const std::vector<Tuple>*> DeltaPlan::Execute(const AppendEvent& event,
 
       case PlanOp::kRelCross: {
         // Implicit temporal join against the current relation version.
-        const std::vector<Tuple>& in = scratch->slots_[instr.in0];
+        const std::vector<Tuple>& in = scratch->slots_[in0];
         const Relation* rel = node.relation();
         ReserveProduct(&out, in.size(), rel->size());
         for (const Tuple& t : in) {
@@ -299,7 +316,7 @@ Result<const std::vector<Tuple>*> DeltaPlan::Execute(const AppendEvent& event,
       }
 
       case PlanOp::kRelKeyJoin: {
-        const std::vector<Tuple>& in = scratch->slots_[instr.in0];
+        const std::vector<Tuple>& in = scratch->slots_[in0];
         const Relation* rel = node.relation();
         const size_t join_column = node.join_column();
         out.reserve(in.size());
@@ -313,7 +330,7 @@ Result<const std::vector<Tuple>*> DeltaPlan::Execute(const AppendEvent& event,
       }
 
       case PlanOp::kRelBoundedJoin: {
-        const std::vector<Tuple>& in = scratch->slots_[instr.in0];
+        const std::vector<Tuple>& in = scratch->slots_[in0];
         const Relation* rel = node.relation();
         ReserveProduct(&out, in.size(), node.max_matches());
         for (const Tuple& t : in) {
@@ -322,8 +339,8 @@ Result<const std::vector<Tuple>*> DeltaPlan::Execute(const AppendEvent& event,
               rel->FindBySecondary(node.relation_column(), t[node.join_column()]);
           if (slots == nullptr) continue;
           if (slots->size() > node.max_matches()) {
-            // Same integrity-constraint failure (and text) as the
-            // interpreter: Definition 4.2 admission was unsound.
+            // The Definition 4.2 guarantee is an integrity constraint; its
+            // violation means the plan's admission into CA_join was unsound.
             return Status::FailedPrecondition(
                 "bounded join matched " + std::to_string(slots->size()) +
                 " relation tuples, declared bound is " +
@@ -334,19 +351,21 @@ Result<const std::vector<Tuple>*> DeltaPlan::Execute(const AppendEvent& event,
         break;
       }
     }
-    scratch->slot_form_[instr.out] |= PlanScratch::kRowsValid;
+    scratch->slot_form_[slot] |= PlanScratch::kRowsValid;
     produced = out.size();
     }
+    scratch->stamp_[slot] = tick;
     Record(stats, produced);
     if (profile) {
-      scratch->slot_ns_[instr.out] +=
+      scratch->slot_ns_[slot] =
           static_cast<uint64_t>(ProfileNowNanos() - instr_start_ns);
-      scratch->slot_rows_[instr.out] += produced;
-      scratch->slot_vec_[instr.out] = vec_done ? 1 : 0;
+      scratch->slot_rows_[slot] = produced;
+      scratch->slot_vec_[slot] = vec_done ? 1 : 0;
     }
   }
-  scratch->EnsureRowForm(root_slot_);
-  return &scratch->slots_[root_slot_];
+  const uint32_t root = program_slots_.back();
+  scratch->EnsureRowForm(root);
+  return &scratch->slots_[root];
 }
 
 bool DeltaPlan::ExecuteVector(size_t idx, const AppendEvent& event,
@@ -354,7 +373,11 @@ bool DeltaPlan::ExecuteVector(size_t idx, const AppendEvent& event,
   const PlanInstr& instr = instrs_[idx];
   const CaExpr& node = *instr.node;
   const VecInstrInfo& info = *vec_infos_[idx];
-  ColumnBatch& out = scratch->col_slots_[instr.out];
+  // Operand slots in program numbering (in1 only read by binary ops).
+  const size_t arity = node.num_children();
+  const uint32_t in0 = arity >= 1 ? program_slots_[instr.in0] : 0;
+  const uint32_t in1 = arity >= 2 ? program_slots_[instr.in1] : 0;
+  ColumnBatch& out = scratch->col_slots_[program_slots_[idx]];
   Arena* arena = &scratch->arena_;
   switch (instr.op) {
     case PlanOp::kScan: {
@@ -384,57 +407,57 @@ bool DeltaPlan::ExecuteVector(size_t idx, const AppendEvent& event,
     }
 
     case PlanOp::kSelect: {
-      if (!scratch->EnsureColForm(instr.in0, node.child(0)->schema())) {
+      if (!scratch->EnsureColForm(in0, node.child(0)->schema())) {
         return false;
       }
-      VecSelect(*info.pred, scratch->col_slots_[instr.in0], event.sn,
+      VecSelect(*info.pred, scratch->col_slots_[in0], event.sn,
                 event.chronon, arena, &out);
       return true;
     }
 
     case PlanOp::kProject: {
-      if (!scratch->EnsureColForm(instr.in0, node.child(0)->schema())) {
+      if (!scratch->EnsureColForm(in0, node.child(0)->schema())) {
         return false;
       }
-      VecProject(scratch->col_slots_[instr.in0], node.projection(),
+      VecProject(scratch->col_slots_[in0], node.projection(),
                  &scratch->vec_, arena, &out);
       return true;
     }
 
     case PlanOp::kSeqJoin: {
-      if (!scratch->EnsureColForm(instr.in0, node.child(0)->schema()) ||
-          !scratch->EnsureColForm(instr.in1, node.child(1)->schema())) {
+      if (!scratch->EnsureColForm(in0, node.child(0)->schema()) ||
+          !scratch->EnsureColForm(in1, node.child(1)->schema())) {
         return false;
       }
-      return VecSeqJoin(scratch->col_slots_[instr.in0],
-                        scratch->col_slots_[instr.in1], arena, &out);
+      return VecSeqJoin(scratch->col_slots_[in0],
+                        scratch->col_slots_[in1], arena, &out);
     }
 
     case PlanOp::kUnion: {
-      if (!scratch->EnsureColForm(instr.in0, node.child(0)->schema()) ||
-          !scratch->EnsureColForm(instr.in1, node.child(1)->schema())) {
+      if (!scratch->EnsureColForm(in0, node.child(0)->schema()) ||
+          !scratch->EnsureColForm(in1, node.child(1)->schema())) {
         return false;
       }
-      VecUnion(scratch->col_slots_[instr.in0], scratch->col_slots_[instr.in1],
+      VecUnion(scratch->col_slots_[in0], scratch->col_slots_[in1],
                &scratch->vec_, arena, &out);
       return true;
     }
 
     case PlanOp::kGroupBySeq: {
-      if (!scratch->EnsureColForm(instr.in0, node.child(0)->schema())) {
+      if (!scratch->EnsureColForm(in0, node.child(0)->schema())) {
         return false;
       }
-      VecGroupBy(scratch->col_slots_[instr.in0], node.group_columns(),
+      VecGroupBy(scratch->col_slots_[in0], node.group_columns(),
                  info.aggs, node.aggregates(), node.schema(), &scratch->vec_,
                  arena, &out);
       return true;
     }
 
     case PlanOp::kRelKeyJoin: {
-      if (!scratch->EnsureColForm(instr.in0, node.child(0)->schema())) {
+      if (!scratch->EnsureColForm(in0, node.child(0)->schema())) {
         return false;
       }
-      const ColumnBatch& in = scratch->col_slots_[instr.in0];
+      const ColumnBatch& in = scratch->col_slots_[in0];
       if (!VecRelKeyJoin(in, node.relation(), node.join_column(),
                          node.schema(), arena, &out)) {
         // Fallback reruns the row arm, which owns the stats in that case.
@@ -455,11 +478,13 @@ Result<const std::vector<ChronicleRow>*> DeltaPlan::ExecuteToRows(
                              Execute(event, scratch, stats));
   scratch->rows_.clear();
   scratch->rows_.reserve(tuples->size());
-  // The root slot is not read again this tick, so its tuples can be moved
-  // out rather than copied (the slot is cleared by the next Prepare).
-  for (Tuple& t : scratch->slots_[root_slot_]) {
+  // Move the root's tuples out rather than copying them, and un-stamp the
+  // root so nothing later in this tick is served the emptied slot.
+  const uint32_t root = program_slots_.back();
+  for (Tuple& t : scratch->slots_[root]) {
     scratch->rows_.push_back(ChronicleRow{event.sn, std::move(t)});
   }
+  scratch->stamp_[root] = 0;
   return &scratch->rows_;
 }
 
@@ -498,55 +523,62 @@ std::string ExplainEscape(const std::string& s) {
   return out;
 }
 
+// Whether `profile` carries samples for `instrs` (one entry per local
+// slot, root sampled). If so, fills the total self time and each slot's
+// subtree-cumulative time. Instructions are post-order, so every input
+// slot index is smaller than its consumer's: one forward pass suffices. A
+// shared subexpression contributes its full subtree to EACH consumer, so
+// the root's cumulative share can exceed 100%; self shares always sum to
+// exactly 100%.
+bool CumulativeProfile(const std::vector<PlanInstr>& instrs,
+                       const std::vector<SlotProfile>* profile,
+                       std::vector<uint64_t>* cum_ns, uint64_t* total_ns) {
+  cum_ns->assign(instrs.size(), 0);
+  if (profile == nullptr || profile->size() != instrs.size() ||
+      instrs.empty() || profile->back().samples == 0) {
+    return false;
+  }
+  for (size_t i = 0; i < instrs.size(); ++i) {
+    const PlanInstr& instr = instrs[i];
+    *total_ns += (*profile)[i].ns;
+    (*cum_ns)[i] = (*profile)[i].ns;
+    const size_t arity = instr.node->num_children();
+    if (arity >= 1) (*cum_ns)[i] += (*cum_ns)[instr.in0];
+    if (arity >= 2) (*cum_ns)[i] += (*cum_ns)[instr.in1];
+  }
+  return true;
+}
+
 }  // namespace
 
 std::string DeltaPlan::ToString() const {
   std::string out;
   for (const PlanInstr& instr : instrs_) {
-    out += "s" + std::to_string(instr.out) + " = ";
+    out.append("s").append(std::to_string(instr.out)).append(" = ");
     out += CaOpToString(instr.node->op());
     out += "(";
     const size_t arity = instr.node->num_children();
-    if (arity >= 1) out += "s" + std::to_string(instr.in0);
-    if (arity >= 2) out += ", s" + std::to_string(instr.in1);
+    if (arity >= 1) out.append("s").append(std::to_string(instr.in0));
+    if (arity >= 2) out.append(", s").append(std::to_string(instr.in1));
     out += ")\n";
   }
-  out += "root: s" + std::to_string(root_slot_) + "\n";
+  out.append("root: s").append(std::to_string(root_slot())).append("\n");
   return out;
 }
 
 std::string DeltaPlan::Explain(const std::vector<SlotProfile>* profile) const {
-  const bool profiled =
-      profile != nullptr && profile->size() == instrs_.size() &&
-      !instrs_.empty() && (*profile)[root_slot_].samples > 0;
-
   uint64_t total_ns = 0;
-  std::vector<uint64_t> cum_ns(instrs_.size(), 0);
-  if (profiled) {
-    for (const SlotProfile& slot : *profile) total_ns += slot.ns;
-    // Instructions are post-order, so every input slot index is smaller
-    // than its consumer's: one forward pass yields subtree-cumulative
-    // time. A shared subexpression contributes its full subtree to EACH
-    // consumer (the interpreter would have recomputed it there), so the
-    // root's cumulative share can exceed 100%; self shares always sum to
-    // exactly 100%.
-    for (size_t i = 0; i < instrs_.size(); ++i) {
-      const PlanInstr& instr = instrs_[i];
-      cum_ns[i] = (*profile)[i].ns;
-      const size_t arity = instr.node->num_children();
-      if (arity >= 1) cum_ns[i] += cum_ns[instr.in0];
-      if (arity >= 2) cum_ns[i] += cum_ns[instr.in1];
-    }
-  }
+  std::vector<uint64_t> cum_ns;
+  const bool profiled = CumulativeProfile(instrs_, profile, &cum_ns, &total_ns);
   const double denom = total_ns > 0 ? static_cast<double>(total_ns) : 1.0;
 
   std::string out;
   ExplainAppendf(&out, "plan: %zu slots, root s%u, %zu shared subexpressions\n",
-                 instrs_.size(), root_slot_, shared_subexpressions_);
+                 instrs_.size(), root_slot(), shared_subexpressions_);
   if (profiled) {
     ExplainAppendf(&out, "profile: %" PRIu64 " sampled ticks, %" PRIu64
                          " ns total self time\n",
-                   (*profile)[root_slot_].samples, total_ns);
+                   (*profile)[root_slot()].samples, total_ns);
   } else {
     out += "profile: no samples (enable profile_plan_slots and append)\n";
   }
@@ -559,7 +591,7 @@ std::string DeltaPlan::Explain(const std::vector<SlotProfile>* profile) const {
     uint32_t slot;
     size_t depth;
   };
-  std::vector<Frame> stack{{root_slot_, 0}};
+  std::vector<Frame> stack{{root_slot(), 0}};
   while (!stack.empty()) {
     const Frame frame = stack.back();
     stack.pop_back();
@@ -603,22 +635,9 @@ std::string DeltaPlan::Explain(const std::vector<SlotProfile>* profile) const {
 std::string DeltaPlan::ExplainJson(
     const std::string& view_name,
     const std::vector<SlotProfile>* profile) const {
-  const bool profiled =
-      profile != nullptr && profile->size() == instrs_.size() &&
-      !instrs_.empty() && (*profile)[root_slot_].samples > 0;
-
   uint64_t total_ns = 0;
-  std::vector<uint64_t> cum_ns(instrs_.size(), 0);
-  if (profiled) {
-    for (const SlotProfile& slot : *profile) total_ns += slot.ns;
-    for (size_t i = 0; i < instrs_.size(); ++i) {
-      const PlanInstr& instr = instrs_[i];
-      cum_ns[i] = (*profile)[i].ns;
-      const size_t arity = instr.node->num_children();
-      if (arity >= 1) cum_ns[i] += cum_ns[instr.in0];
-      if (arity >= 2) cum_ns[i] += cum_ns[instr.in1];
-    }
-  }
+  std::vector<uint64_t> cum_ns;
+  const bool profiled = CumulativeProfile(instrs_, profile, &cum_ns, &total_ns);
   const double denom = total_ns > 0 ? static_cast<double>(total_ns) : 1.0;
 
   std::string out;
@@ -626,9 +645,9 @@ std::string DeltaPlan::ExplainJson(
                  "{\"view\":\"%s\",\"slots\":%zu,\"root\":%u,"
                  "\"shared_subexpressions\":%zu,\"sampled_ticks\":%" PRIu64
                  ",\"total_self_ns\":%" PRIu64 ",\"plan\":[",
-                 ExplainEscape(view_name).c_str(), instrs_.size(), root_slot_,
+                 ExplainEscape(view_name).c_str(), instrs_.size(), root_slot(),
                  shared_subexpressions_,
-                 profiled ? (*profile)[root_slot_].samples : uint64_t{0},
+                 profiled ? (*profile)[root_slot()].samples : uint64_t{0},
                  total_ns);
   for (size_t i = 0; i < instrs_.size(); ++i) {
     const PlanInstr& instr = instrs_[i];

@@ -1,30 +1,45 @@
-// Compiled delta plans: the batch-at-a-time twin of algebra/delta_engine.
+// Compiled delta plans: the one execution engine for chronicle-algebra
+// deltas (Theorems 4.1 and 4.2).
 //
-// DeltaEngine re-walks the CaExpr tree on every tick and pays a hash-map
-// memo probe per node, a fresh std::vector per operator, and a heap Status
-// per unmatched join key. Theorem 4.2 says the per-append algebra is cheap;
-// those constant factors are pure interpretation overhead. A DeltaPlan
-// removes them structurally:
+// Given one append event (everything inserted under one fresh sequence
+// number), a plan computes the delta of a CA expression using ONLY the
+// appended tuples and the current relation versions (index lookups for
+// CA_join). Neither the base chronicles nor any intermediate chronicle
+// view is read or materialized, so the cost is independent of |C| and of
+// the view size. Correctness rests on the monotonicity theorem (4.1): all
+// delta rows of a tick carry the tick's fresh sequence number, so every
+// operator's output delta is a function of its input deltas alone — in
+// particular Δ(E1 − E2) = ΔE1 − ΔE2 and Δ(E1 ⋈_SN E2) = ΔE1 ⋈ ΔE2.
 //
-//   * At view-registration time the validated CaExpr DAG is lowered into a
-//     flat POST-ORDER instruction list (exec/plan_compiler.h). Instructions
-//     read and write numbered operand slots; a subexpression shared by
-//     several parents is lowered ONCE and its slot read many times — the
-//     per-tick memo hashing of DeltaCache disappears by construction.
-//   * Execution is batch-at-a-time over a PlanScratch: every slot is a
-//     retained std::vector<Tuple> that is cleared (never freed) between
-//     ticks, dedupe reuses a retained hash set, group-by reuses a retained
-//     group table, and tick-scoped transients (group output order) live in
-//     a bump Arena that is Reset, not freed. A steady-state tick touches
-//     the system allocator only for the payload Tuples themselves.
+// Semantics: a chronicle is a *set* of (SN, payload) rows. Within a tick
+// Scan / Project / Union deduplicate (first seen wins) and Difference is
+// set difference — the same semantics as the relational baseline
+// (baseline/naive_engine.h), so the two compare row for row.
+//
+// Shared-slot contract:
+//
+//   * A PlanCompiler (exec/plan_compiler.h) lowers validated CaExpr DAGs
+//     into ONE slot program: every distinct node it has seen — across all
+//     plans compiled through it — owns one numbered slot and one
+//     instruction. A DeltaPlan is one root's view of that program: the
+//     post-order list of the instructions its root needs, each mapped to
+//     its program slot.
+//   * A PlanScratch holds the slot buffers and stamps each slot with the
+//     tick that wrote it. Within one tick (PlanScratch::BeginTick), an
+//     instruction whose slot is already stamped is skipped: a node shared
+//     by several plans executed on one scratch is computed once per tick.
+//     Per-tick work stays proportional to the instructions of the plans
+//     actually executed — nothing sweeps the whole program.
+//   * Execution is batch-at-a-time with a clear-don't-free discipline:
+//     slot vectors, the dedupe set, the group table and the tick arena are
+//     retained across ticks, so a steady-state tick touches the system
+//     allocator only for the payload Tuples themselves.
 //   * Relation probes go through the status-free Relation::FindByKey /
 //     FindBySecondary, so the inner-join miss path allocates nothing.
 //
-// Semantics are BYTE-IDENTICAL to DeltaEngine (same operator order, same
-// first-seen dedupe, same error texts for Definition 4.2 violations);
-// tests/plan_equivalence_fuzz_test.cc enforces this with randomized
-// expressions, and ViewManager keeps the interpreter available as the
-// MaintenanceOptions::use_compiled_plans=false fallback.
+// Row-compiled and columnar execution are byte-identical (same rows, same
+// order, same error texts); tests/plan_equivalence_fuzz_test.cc enforces
+// this and checks both against the naive baseline.
 //
 // Thread safety: a DeltaPlan is immutable after compilation and may be
 // executed concurrently; all mutable state lives in the caller-owned
@@ -40,7 +55,6 @@
 
 #include "aggregates/aggregate.h"
 #include "algebra/ca_expr.h"
-#include "algebra/delta_engine.h"
 #include "common/arena.h"
 #include "common/status.h"
 #include "exec/column_batch.h"
@@ -48,6 +62,22 @@
 #include "storage/chronicle_group.h"
 
 namespace chronicle {
+
+// Observability counters for one plan execution; benchmarks E6/E8 and the
+// per-view ViewStats read these to verify the Theorem 4.2 time/space
+// story. Instructions skipped because a shared slot was already computed
+// this tick record nothing.
+struct DeltaStats {
+  // Largest intermediate delta (in rows) materialized at any node.
+  size_t max_intermediate_rows = 0;
+  // Total rows produced across all nodes (proxy for work done).
+  size_t total_rows_produced = 0;
+  // Relation index lookups performed (the log|R| / O(1) component).
+  size_t relation_lookups = 0;
+  // Relation rows scanned by cross products (the |R|^j component).
+  size_t relation_rows_scanned = 0;
+};
+
 namespace exec {
 
 // The compiled operator set: exactly the legal CA operators (Definition
@@ -65,12 +95,14 @@ enum class PlanOp : uint8_t {
   kRelBoundedJoin,
 };
 
-// One instruction of the flat post-order program. Operand payloads
-// (predicate, projection map, aggregate specs, relation pointer) are read
-// through `node`, which the owning DeltaPlan keeps alive via its root.
+// One instruction of a plan's flat post-order list. Slot numbers are
+// plan-local (instruction i writes local slot i); DeltaPlan::program_slot
+// maps them onto the shared program. Operand payloads (predicate,
+// projection map, aggregate specs, relation pointer) are read through
+// `node`, which the owning DeltaPlan keeps alive via its root.
 struct PlanInstr {
   PlanOp op;
-  uint32_t out = 0;  // slot this instruction writes (written exactly once)
+  uint32_t out = 0;  // local slot this instruction writes
   uint32_t in0 = 0;  // first input slot (unary/binary ops)
   uint32_t in1 = 0;  // second input slot (binary ops)
   const CaExpr* node = nullptr;
@@ -140,20 +172,30 @@ class TupleRefSet {
 // Per-worker, cross-tick execution state. Everything here follows the
 // clear-don't-free discipline, so its footprint converges to the largest
 // tick it has served — O((u·|R|)^j) in the Theorem 4.2 parameters, never
-// proportional to |C| or to any view size. One scratch serves any number
-// of plans (slot storage is sized to the largest), but only one execution
-// at a time: give each thread its own.
+// proportional to |C| or to any view size. Slot storage is indexed by
+// program slot and grows to the largest program executed on it. One
+// scratch serves any number of plans, but only one execution at a time:
+// give each thread its own.
 class PlanScratch {
  public:
   PlanScratch() = default;
   PlanScratch(const PlanScratch&) = delete;
   PlanScratch& operator=(const PlanScratch&) = delete;
 
+  // Starts a new tick: every slot written before becomes stale (O(1), by
+  // bumping the stamp) and the tick arena is reset. Call once per append
+  // event before DeltaPlan::ExecuteInTick; DeltaPlan::Execute calls it
+  // itself.
+  void BeginTick() {
+    ++tick_;
+    arena_.Reset();
+  }
+
   // Reusable-footprint accounting (bench E13 / tests / obs).
   size_t num_slots() const { return slots_.size(); }
   size_t arena_bytes_reserved() const { return arena_.bytes_reserved(); }
-  // Arena bytes handed out by the most recent execution (reset on the
-  // next Prepare); the obs layer's per-tick arena high-water gauge.
+  // Arena bytes handed out since the last BeginTick; the obs layer's
+  // per-tick arena high-water gauge.
   size_t arena_bytes_allocated() const { return arena_.bytes_allocated(); }
   // Load factor of the dedupe set as left by the most recent execution
   // (0 until the table first grows); the obs layer's dedupe-pressure
@@ -164,17 +206,27 @@ class PlanScratch {
                : static_cast<double>(seen_.size()) / seen_.capacity();
   }
 
-  // Per-slot profiling for the NEXT execution. When on, Execute reads the
-  // clock around every instruction and records self-time and rows into
-  // slot_ns()/slot_rows() (indexed by slot, valid until the next Prepare).
-  // The caller samples (every Nth tick), folds the arrays into its own
-  // SlotProfile accumulator, and turns the flag back off.
+  // Shared-slot accounting since construction: instructions skipped
+  // because their slot was already computed this tick (hits), and
+  // instructions executed (misses). Bench E9 and the stats snapshot's
+  // delta_cache_hits/misses read these.
+  uint64_t shared_hits() const { return shared_hits_; }
+  uint64_t shared_misses() const { return shared_misses_; }
+
+  // Per-slot profiling for the NEXT execution. When on, execution reads
+  // the clock around every instruction and records self-time and rows
+  // into slot_ns()/slot_rows() (indexed by program slot, valid for the
+  // executed plan's slots until the next execution). A slot served shared
+  // records 0 ns and its row count. The caller samples (every Nth tick),
+  // folds the arrays into its own SlotProfile accumulator, and turns the
+  // flag back off.
   void set_profile_slots(bool on) { profile_slots_ = on; }
   bool profile_slots() const { return profile_slots_; }
   const std::vector<uint64_t>& slot_ns() const { return slot_ns_; }
   const std::vector<uint64_t>& slot_rows() const { return slot_rows_; }
   // 1 per slot that executed on the vector engine in the last profiled
-  // execution (0 = row engine). Folded into SlotProfile::vec_samples.
+  // execution (0 = row engine or shared). Folded into
+  // SlotProfile::vec_samples.
   const std::vector<uint8_t>& slot_vec() const { return slot_vec_; }
 
   // Runtime toggle for instructions compiled with a vector kernel
@@ -190,9 +242,15 @@ class PlanScratch {
   using GroupMap =
       std::unordered_map<Tuple, std::vector<AggState>, TupleHash, TupleEq>;
 
-  // Clears (without freeing) the first `num_slots` slot buffers and resets
-  // the arena, growing the slot array if this plan is the largest yet.
-  void Prepare(size_t num_slots);
+  // Grows the per-slot arrays to at least `num_slots` (never shrinks).
+  void Reserve(size_t num_slots);
+
+  // Clears (without freeing) program slot `slot` for a fresh write.
+  void ResetSlot(uint32_t slot) {
+    slots_[slot].clear();
+    col_slots_[slot].Clear();
+    slot_form_[slot] = 0;
+  }
 
   // Engine-boundary conversions (executor only). EnsureRowForm
   // materializes a columnar slot into its row buffer; EnsureColForm
@@ -216,6 +274,12 @@ class PlanScratch {
   std::vector<std::vector<Tuple>> slots_;
   std::vector<ColumnBatch> col_slots_;  // columnar twin of slots_
   std::vector<uint8_t> slot_form_;      // SlotForm bits per slot
+  // Tick that last wrote each slot; a slot is live iff its stamp equals
+  // tick_. Starts at 1 so zero-initialized stamps are stale.
+  std::vector<uint64_t> stamp_;
+  uint64_t tick_ = 1;
+  uint64_t shared_hits_ = 0;
+  uint64_t shared_misses_ = 0;
   TupleRefSet seen_;     // dedupe scratch (table retained across ticks)
   TupleRefSet removed_;  // difference scratch
   GroupMap groups_;    // group-by scratch
@@ -233,28 +297,44 @@ class PlanScratch {
 
 class DeltaPlan {
  public:
-  // Executes the plan for one append event. Returns the root delta as a
-  // pointer into `scratch` — valid until the scratch's next execution.
-  // All rows conceptually carry event.sn (ExecuteToRows stamps it).
-  // `stats` may be null; counters match the interpreter's exactly.
+  // Executes the plan as a tick of its own (BeginTick, then
+  // ExecuteInTick). Returns the root delta as a pointer into `scratch` —
+  // valid until the scratch's next tick. All rows conceptually carry
+  // event.sn (ExecuteToRows stamps it). `stats` may be null.
   Result<const std::vector<Tuple>*> Execute(const AppendEvent& event,
                                             PlanScratch* scratch,
                                             DeltaStats* stats) const;
 
-  // Execute + SN stamping into the scratch's retained row buffer: the
-  // drop-in replacement for DeltaEngine::ComputeDelta on the maintenance
-  // path. The returned pointer is valid until the scratch's next use.
+  // Executes the plan within the scratch's current tick: slots another
+  // plan of the same program already computed this tick are served, not
+  // recomputed. The caller must call scratch->BeginTick() once per event;
+  // executing a different event in the same tick would serve the previous
+  // event's slots. Plans sharing a tick must come from one PlanCompiler
+  // (program slot numbers are per program).
+  Result<const std::vector<Tuple>*> ExecuteInTick(const AppendEvent& event,
+                                                  PlanScratch* scratch,
+                                                  DeltaStats* stats) const;
+
+  // Execute + SN stamping into the scratch's retained row buffer, as a
+  // tick of its own. The root's tuples are moved, not copied, into the
+  // rows (the root slot is un-stamped, so a later ExecuteInTick in the
+  // same tick recomputes it). The returned pointer is valid until the
+  // scratch's next use.
   Result<const std::vector<ChronicleRow>*> ExecuteToRows(
       const AppendEvent& event, PlanScratch* scratch,
       DeltaStats* stats) const;
 
   // --- inspection (compiler tests, EXPLAIN-style diagnostics) ---
+  // Post-order instructions in plan-local slot numbering.
   const std::vector<PlanInstr>& instructions() const { return instrs_; }
-  // One slot per instruction: slot i is written by instruction i.
+  // One local slot per instruction: local slot i is written by
+  // instruction i. The root is the last instruction.
   size_t num_slots() const { return instrs_.size(); }
-  uint32_t root_slot() const { return root_slot_; }
-  // DAG edges that were resolved to an already-compiled slot — each one is
-  // a whole subtree the interpreter would have re-memoized every tick.
+  uint32_t root_slot() const { return static_cast<uint32_t>(instrs_.size() - 1); }
+  // The shared-program slot behind local slot `local`. Plans compiled
+  // through one PlanCompiler map a common subexpression to one slot.
+  uint32_t program_slot(size_t local) const { return program_slots_[local]; }
+  // DAG edges inside this plan resolved to an already-listed instruction.
   size_t shared_subexpressions() const { return shared_subexpressions_; }
   const CaExprPtr& root() const { return root_; }
   // Instructions the compiler routed to the vector engine.
@@ -268,10 +348,10 @@ class DeltaPlan {
   std::string ToString() const;
 
   // EXPLAIN tree, rendered from the root slot down. `profile` (one entry
-  // per slot, from the sampled per-slot timings) may be null or empty, in
-  // which case only the plan structure is shown; otherwise every line
-  // carries the slot's self-time share (all self shares sum to 100%),
-  // cumulative share (self + subtree), and rows per sampled tick.
+  // per local slot, from the sampled per-slot timings) may be null or
+  // empty, in which case only the plan structure is shown; otherwise
+  // every line carries the slot's self-time share (all self shares sum to
+  // 100%), cumulative share (self + subtree), and rows per sampled tick.
   std::string Explain(const std::vector<SlotProfile>* profile) const;
 
   // Same data as a flat JSON document for /views/<name>/explain.json:
@@ -292,10 +372,13 @@ class DeltaPlan {
 
   CaExprPtr root_;  // keeps every node (and its payloads) alive
   std::vector<PlanInstr> instrs_;
-  // Parallel to instrs_: the vector-engine payload of columnar
-  // instructions (nullptr for row instructions).
-  std::vector<std::unique_ptr<VecInstrInfo>> vec_infos_;
-  uint32_t root_slot_ = 0;
+  // Parallel to instrs_: the program slot of each local slot, and the
+  // vector-engine payload of columnar instructions (null for row ones),
+  // shared with every plan of the program that lists the instruction.
+  std::vector<uint32_t> program_slots_;
+  std::vector<std::shared_ptr<const VecInstrInfo>> vec_infos_;
+  // 1 + the largest program slot this plan touches (scratch sizing).
+  size_t slot_bound_ = 0;
   size_t shared_subexpressions_ = 0;
 };
 

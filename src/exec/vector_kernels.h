@@ -6,10 +6,10 @@
 // accumulation order (pass-2 aggregate loops walk rows in input order, so
 // per-group double sums fold in exactly the row engine's order), same
 // DeltaStats counters. tests/plan_equivalence_fuzz_test.cc triangulates
-// interpreter vs row-compiled vs columnar on random plans.
+// naive baseline vs row-compiled vs columnar on random plans.
 //
-// Engine decision: PlanCompiler calls PlanVectorInstr once per instruction
-// at view-registration time. It returns a VecInstrInfo when the operator
+// Engine decision: PlanCompiler calls PlanVectorInstr once per program
+// instruction at view-registration time. It returns a VecInstrInfo when the operator
 // has a vector kernel AND the instruction's shape qualifies (predicate in
 // the vectorizable subset, aggregates all in {COUNT,SUM,MIN,MAX}, join key
 // non-string); otherwise nullptr and the instruction stays on the row

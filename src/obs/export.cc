@@ -436,9 +436,11 @@ std::string RenderPrometheus(const StatsSnapshot& snapshot) {
   PromCounter(&out, "chronicle_live_views", "Currently registered views",
               snapshot.live_views);
   PromCounter(&out, "chronicle_delta_cache_hits_total",
-              "Delta memo cache hits", snapshot.delta_cache_hits);
+              "Plan instructions served from a shared slot",
+              snapshot.delta_cache_hits);
   PromCounter(&out, "chronicle_delta_cache_misses_total",
-              "Delta memo cache misses", snapshot.delta_cache_misses);
+              "Plan instructions executed",
+              snapshot.delta_cache_misses);
   PromCounter(&out, "chronicle_trace_spans_emitted_total",
               "Spans emitted into the trace ring", snapshot.trace_emitted);
 
@@ -470,7 +472,7 @@ std::string RenderPrometheus(const StatsSnapshot& snapshot) {
          "Ticks served by the compiled plan",
          [](const ViewStats& s) { return s.compiled_ticks; }},
         {"chronicle_view_interpreted_ticks_total",
-         "Ticks served by the interpreter",
+         "Always 0 (every tick runs a compiled plan)",
          [](const ViewStats& s) { return s.interpreted_ticks; }},
         {"chronicle_view_relation_lookups_total",
          "Relation index probes during maintenance",

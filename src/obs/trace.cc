@@ -41,11 +41,18 @@ void TraceRing::Emit(SpanKind kind, uint16_t worker, uint64_t sn,
   Slot& slot = slots_[seq & (slots_.size() - 1)];
   // Seqlock write: odd version in, fields, even version out. The payload
   // stores are relaxed (they are ordered by the release stores on
-  // version); two writers can only collide on one slot after the ring
-  // wraps within a single tick, in which case the slot ends even and
-  // holds one of the two spans — still coherent.
-  const uint64_t v = slot.version.load(std::memory_order_relaxed);
-  slot.version.store(v + 1, std::memory_order_release);
+  // version). Two writers collide on one slot when the ring wraps while
+  // both are inside it; the odd version is taken by CAS, so the second
+  // waits for the first to finish instead of interleaving its fields (a
+  // reader would see an even version over a mixed span, and the slot
+  // would be left odd for good).
+  uint64_t v = slot.version.load(std::memory_order_relaxed);
+  while ((v & 1) != 0 ||
+         !slot.version.compare_exchange_weak(v, v + 1,
+                                             std::memory_order_acquire,
+                                             std::memory_order_relaxed)) {
+    if ((v & 1) != 0) v = slot.version.load(std::memory_order_relaxed);
+  }
   std::atomic_thread_fence(std::memory_order_release);
   slot.seq.store(seq, std::memory_order_relaxed);
   slot.kind.store(static_cast<uint8_t>(kind), std::memory_order_relaxed);

@@ -3,7 +3,9 @@
 namespace chronicle {
 
 std::string Interval::ToString() const {
-  return "[" + std::to_string(begin) + ", " + std::to_string(end) + ")";
+  std::string out = "[";
+  out.append(std::to_string(begin)).append(", ").append(std::to_string(end));
+  return out.append(")");
 }
 
 FixedCalendar::FixedCalendar(std::vector<Interval> intervals)

@@ -1,15 +1,16 @@
 #include "periodic/periodic_view.h"
 
 #include "algebra/validate.h"
+#include "exec/plan_compiler.h"
 
 namespace chronicle {
 
-PeriodicViewSet::PeriodicViewSet(std::string name, CaExprPtr plan,
-                                 SummarySpec spec,
+PeriodicViewSet::PeriodicViewSet(std::string name,
+                                 exec::DeltaPlanPtr compiled, SummarySpec spec,
                                  std::shared_ptr<const Calendar> calendar,
                                  PeriodicViewOptions options)
     : name_(std::move(name)),
-      plan_(std::move(plan)),
+      compiled_(std::move(compiled)),
       spec_(std::move(spec)),
       calendar_(std::move(calendar)),
       options_(options) {}
@@ -22,9 +23,11 @@ Result<std::unique_ptr<PeriodicViewSet>> PeriodicViewSet::Make(
         "periodic view requires a plan and a calendar");
   }
   CHRONICLE_RETURN_NOT_OK(ValidateChronicleAlgebra(*plan));
+  CHRONICLE_ASSIGN_OR_RETURN(exec::DeltaPlanPtr compiled,
+                             exec::CompileDeltaPlan(plan));
   return std::unique_ptr<PeriodicViewSet>(
-      new PeriodicViewSet(std::move(name), std::move(plan), std::move(spec),
-                          std::move(calendar), options));
+      new PeriodicViewSet(std::move(name), std::move(compiled),
+                          std::move(spec), std::move(calendar), options));
 }
 
 Status PeriodicViewSet::ProcessAppend(const AppendEvent& event) {
@@ -32,9 +35,9 @@ Status PeriodicViewSet::ProcessAppend(const AppendEvent& event) {
   calendar_->IntervalsContaining(event.chronon, &containing);
   if (!containing.empty()) {
     // One shared delta for every containing instance.
-    CHRONICLE_ASSIGN_OR_RETURN(std::vector<ChronicleRow> delta,
-                               engine_.ComputeDelta(*plan_, event));
-    if (!delta.empty()) {
+    CHRONICLE_ASSIGN_OR_RETURN(const std::vector<Tuple>* delta,
+                               compiled_->Execute(event, &scratch_, nullptr));
+    if (!delta->empty()) {
       for (int64_t index : containing) {
         auto it = instances_.find(index);
         if (it == instances_.end()) {
@@ -42,12 +45,12 @@ Status PeriodicViewSet::ProcessAppend(const AppendEvent& event) {
               std::unique_ptr<PersistentView> instance,
               PersistentView::Make(
                   static_cast<ViewId>(index & 0x7fffffff),
-                  name_ + "@" + std::to_string(index), plan_, spec_,
+                  name_ + "@" + std::to_string(index), plan(), spec_,
                   /*computed=*/{}, options_.index_mode));
           it = instances_.emplace(index, std::move(instance)).first;
           ++instances_created_;
         }
-        CHRONICLE_RETURN_NOT_OK(it->second->ApplyDelta(delta));
+        CHRONICLE_RETURN_NOT_OK(it->second->ApplyDelta(*delta));
       }
     }
   }
@@ -100,7 +103,7 @@ Status PeriodicViewSet::RestoreInstanceGroup(int64_t interval_index, Tuple key,
         std::unique_ptr<PersistentView> instance,
         PersistentView::Make(static_cast<ViewId>(interval_index & 0x7fffffff),
                              name_ + "@" + std::to_string(interval_index),
-                             plan_, spec_, /*computed=*/{},
+                             plan(), spec_, /*computed=*/{},
                              options_.index_mode));
     it = instances_.emplace(interval_index, std::move(instance)).first;
   }

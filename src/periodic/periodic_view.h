@@ -9,8 +9,9 @@
 // Instances are created lazily when the first tick inside their interval
 // arrives, maintained while their interval is current, and expired (their
 // space reclaimed) once their interval has been closed for longer than the
-// configured grace period. Each append computes the delta of the shared
-// defining expression ONCE and folds it into every containing instance —
+// configured grace period. The defining expression is compiled once, at
+// Make; each append executes it ONCE and folds the delta into every
+// containing instance —
 // so for a sliding calendar with overlap factor W/s this costs W/s view
 // updates per append; the SlidingWindowView optimization removes that
 // factor.
@@ -24,7 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "algebra/delta_engine.h"
+#include "exec/delta_plan.h"
 #include "periodic/calendar.h"
 #include "views/persistent_view.h"
 
@@ -48,7 +49,7 @@ class PeriodicViewSet {
 
   const std::string& name() const { return name_; }
   const Calendar& calendar() const { return *calendar_; }
-  const CaExprPtr& plan() const { return plan_; }
+  const CaExprPtr& plan() const { return compiled_->root(); }
 
   // Maintains all instances whose interval contains the event's chronon,
   // then expires instances that have left the grace window.
@@ -85,18 +86,18 @@ class PeriodicViewSet {
   }
 
  private:
-  PeriodicViewSet(std::string name, CaExprPtr plan, SummarySpec spec,
-                  std::shared_ptr<const Calendar> calendar,
+  PeriodicViewSet(std::string name, exec::DeltaPlanPtr compiled,
+                  SummarySpec spec, std::shared_ptr<const Calendar> calendar,
                   PeriodicViewOptions options);
 
   Status ExpireUpTo(Chronon now);
 
   std::string name_;
-  CaExprPtr plan_;
+  exec::DeltaPlanPtr compiled_;  // compiled once, at Make; owns the plan
   SummarySpec spec_;
   std::shared_ptr<const Calendar> calendar_;
   PeriodicViewOptions options_;
-  DeltaEngine engine_;
+  exec::PlanScratch scratch_;  // retained across ticks
 
   // interval index -> live instance, kept ordered so expiration scans the
   // oldest instances first.

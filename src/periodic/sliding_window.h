@@ -30,7 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "algebra/delta_engine.h"
+#include "exec/delta_plan.h"
 #include "periodic/calendar.h"
 #include "storage/keyed_table.h"
 #include "views/summary_spec.h"
@@ -47,7 +47,7 @@ class SlidingWindowView {
       IndexMode index_mode = IndexMode::kHash);
 
   const std::string& name() const { return name_; }
-  const CaExprPtr& plan() const { return plan_; }
+  const CaExprPtr& plan() const { return compiled_->root(); }
   Chronon window() const { return pane_width_ * num_panes_; }
   Chronon pane_width() const { return pane_width_; }
   int64_t num_panes() const { return num_panes_; }
@@ -88,9 +88,9 @@ class SlidingWindowView {
     KeyedTable<std::vector<AggState>> groups{IndexMode::kHash};
   };
 
-  SlidingWindowView(std::string name, CaExprPtr plan, SummarySpec spec,
-                    Chronon origin, Chronon pane_width, int64_t num_panes,
-                    IndexMode index_mode);
+  SlidingWindowView(std::string name, exec::DeltaPlanPtr compiled,
+                    SummarySpec spec, Chronon origin, Chronon pane_width,
+                    int64_t num_panes, IndexMode index_mode);
 
   // Merges the states for `key` across all panes of the current window;
   // false if the key is in no pane.
@@ -98,13 +98,13 @@ class SlidingWindowView {
   Tuple FinalizeRow(const Tuple& key, const std::vector<AggState>& states) const;
 
   std::string name_;
-  CaExprPtr plan_;
+  exec::DeltaPlanPtr compiled_;  // compiled once, at Make; owns the plan
   SummarySpec spec_;
   Chronon origin_;
   Chronon pane_width_;
   int64_t num_panes_;
   IndexMode index_mode_;
-  DeltaEngine engine_;
+  exec::PlanScratch scratch_;  // retained across ticks
 
   std::vector<Pane> ring_;
   int64_t current_pane_ = -1;

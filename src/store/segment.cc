@@ -89,46 +89,6 @@ std::string SegmentEncoder::Finish() {
   return image;
 }
 
-Status AtomicWriteSegment(const std::string& path, std::string_view data) {
-  const std::string tmp = path + kSegmentTempSuffix;
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return IoError("open", tmp);
-  size_t written = 0;
-  while (written < data.size()) {
-    ssize_t n = ::write(fd, data.data() + written, data.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      Status s = IoError("write", tmp);
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return s;
-    }
-    written += static_cast<size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    Status s = IoError("fsync", tmp);
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return s;
-  }
-  if (::close(fd) != 0) return IoError("close", tmp);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    Status s = IoError("rename", tmp);
-    ::unlink(tmp.c_str());
-    return s;
-  }
-  // Make the rename itself durable.
-  std::string dir = path;
-  size_t slash = dir.find_last_of('/');
-  dir = slash == std::string::npos ? std::string(".") : dir.substr(0, slash);
-  int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
-  return Status::OK();
-}
-
 SegmentReader::~SegmentReader() {
   if (mapped_ != nullptr) {
     ::munmap(const_cast<char*>(mapped_), mapped_bytes_);

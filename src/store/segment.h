@@ -39,6 +39,8 @@ inline constexpr uint32_t kSegmentMagic = 0x47455343;  // "CSEG" little-endian
 inline constexpr uint32_t kSegmentVersion = 1;
 inline constexpr size_t kSegmentHeaderBytes = 40;
 inline constexpr char kSegmentSuffix[] = ".seg";
+// Suffix of a segment image mid-write (wal::AtomicWriteFile's temp file);
+// store recovery deletes leftovers.
 inline constexpr char kSegmentTempSuffix[] = ".tmp";
 
 struct SegmentHeader {
@@ -77,10 +79,6 @@ class SegmentEncoder {
   SeqNum last_sn_ = 0;
   std::string payload_;
 };
-
-// Writes `data` to `path` atomically: temp file in the same directory,
-// fsync, rename, fsync of the directory.
-Status AtomicWriteSegment(const std::string& path, std::string_view data);
 
 // An mmap-backed, fully validated segment. Open() checks magic, version,
 // CRC, and decodes every row once (verifying counts and SN monotonicity);

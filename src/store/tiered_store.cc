@@ -4,6 +4,8 @@
 #include <filesystem>
 #include <utility>
 
+#include "wal/wal_file.h"
+
 namespace chronicle {
 namespace store {
 
@@ -134,7 +136,7 @@ Status TieredStore::SealOne(ChronicleTier& tier, ChronicleId id,
   const uint32_t count = encoder.rows();
   const std::string image = encoder.Finish();
   const std::string path = tier.dir + "/" + SegmentFileName(base);
-  CHRONICLE_RETURN_NOT_OK(AtomicWriteSegment(path, image));
+  CHRONICLE_RETURN_NOT_OK(wal::AtomicWriteFile(path, image));
   CHRONICLE_ASSIGN_OR_RETURN(std::unique_ptr<SegmentReader> reader,
                              SegmentReader::Open(path));
   SegmentEntry entry;

@@ -42,11 +42,11 @@ Result<std::unique_ptr<PersistentView>> PersistentView::Make(
   return view;
 }
 
-Status PersistentView::ApplyDelta(const std::vector<ChronicleRow>& delta) {
+Status PersistentView::ApplyDelta(const std::vector<Tuple>& delta) {
   ++ticks_applied_;
   delta_rows_applied_ += delta.size();
-  for (const ChronicleRow& row : delta) {
-    Tuple key = spec_.KeyOf(row.values);
+  for (const Tuple& row : delta) {
+    Tuple key = spec_.KeyOf(row);
     Group* group = table_.Find(key);
     if (group == nullptr) {
       group = &table_.GetOrCreate(std::move(key));
@@ -59,7 +59,7 @@ Status PersistentView::ApplyDelta(const std::vector<ChronicleRow>& delta) {
     }
     if (spec_.kind() == SummarySpec::Kind::kGroupBy) {
       for (size_t i = 0; i < spec_.aggregates().size(); ++i) {
-        spec_.aggregates()[i].Update(&group->states[i], row.values);
+        spec_.aggregates()[i].Update(&group->states[i], row);
       }
     } else {
       ++group->multiplicity;

@@ -58,8 +58,9 @@ class PersistentView {
   // Number of groups / distinct rows currently materialized (|V|).
   size_t size() const { return table_.size(); }
 
-  // Folds one tick's delta (all rows share one SN) into the view.
-  Status ApplyDelta(const std::vector<ChronicleRow>& delta);
+  // Folds one tick's delta (the payloads of rows that all carry the tick's
+  // SN) into the view.
+  Status ApplyDelta(const std::vector<Tuple>& delta);
 
   // Point lookup of the finalized row for `key` (the grouping columns, in
   // spec order). NotFound if the group does not exist (yet).

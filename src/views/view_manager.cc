@@ -5,7 +5,6 @@
 
 #include "common/stopwatch.h"
 #include "exec/plan_compiler.h"
-#include "obs/export.h"
 
 namespace chronicle {
 
@@ -74,15 +73,11 @@ Result<ViewId> ViewManager::AddView(std::unique_ptr<PersistentView> view) {
   std::vector<const ScalarExpr*> pending;
   CollectGuards(*entry.view->plan(), &pending, &entry.guards);
 
-  // Lower the plan once, here — never on the append path. A non-CA plan
-  // (rejected by the compiler exactly as the interpreter would per tick)
-  // simply stays interpreted, preserving the legacy error surface.
-  Result<exec::DeltaPlanPtr> compiled =
-      exec::CompileDeltaPlan(entry.view->plan());
-  if (compiled.ok()) {
-    entry.compiled = std::move(compiled).value();
-    entry.stats.plan_slots = static_cast<uint32_t>(entry.compiled->num_slots());
-  }
+  // Lower the plan into the shared program once, here — never on the
+  // append path. PersistentView::Make already rejected non-CA plans.
+  CHRONICLE_ASSIGN_OR_RETURN(entry.compiled,
+                             compiler_.Compile(entry.view->plan()));
+  entry.stats.plan_slots = static_cast<uint32_t>(entry.compiled->num_slots());
 
   // Eligible for the eq index iff the view reads exactly one chronicle
   // through exactly one scan, and that scan's guard has an eq conjunct:
@@ -129,6 +124,15 @@ Status ViewManager::DropView(const std::string& name) {
   entry.guards.clear();
   entry.chronicles.clear();
   --live_views_;
+  // Rebuild the shared program from the live views, so the dropped view's
+  // slots (and the nodes they pin) do not outlive it. Plan-local slot
+  // numbering — and with it each view's EXPLAIN profile — is unchanged.
+  compiler_ = exec::PlanCompiler();
+  for (ViewEntry& live : views_) {
+    if (live.view == nullptr) continue;
+    CHRONICLE_ASSIGN_OR_RETURN(live.compiled,
+                               compiler_.Compile(live.view->plan()));
+  }
   return Status::OK();
 }
 
@@ -191,7 +195,6 @@ Result<bool> ViewManager::GuardsPass(const ViewEntry& entry,
 
 Result<MaintenanceReport> ViewManager::ProcessAppend(const AppendEvent& event) {
   MaintenanceReport report;
-  cache_.Clear();  // node deltas memoized below are valid for this tick only
 
   // Observability: with metrics detached, this tick takes zero clock reads
   // beyond the seed's. With tracing on, all timestamps come from the
@@ -277,10 +280,11 @@ Result<MaintenanceReport> ViewManager::ProcessAppend(const AppendEvent& event) {
   const bool parallel =
       pool_ != nullptr && work.size() >= 2 * options_.min_views_per_task;
   if (!parallel) {
-    // Serial path: one shared cache (interpreter) / one scratch (compiled).
+    // Serial path: one scratch, one tick — every shared slot is computed
+    // once for all views.
+    scratch_.BeginTick();
     for (ViewId id : work) {
-      CHRONICLE_RETURN_NOT_OK(MaintainOne(id, event, &cache_, &scratch_, 0,
-                                          &report));
+      CHRONICLE_RETURN_NOT_OK(MaintainOne(id, event, &scratch_, 0, &report));
     }
     if (obs_on) {
       const int64_t tick_end = now_ns();
@@ -320,9 +324,8 @@ Status ViewManager::BackfillView(ViewId id, const AppendEvent& event,
   if (id >= views_.size() || views_[id].view == nullptr) {
     return Status::NotFound("no view with id " + std::to_string(id));
   }
-  cache_.Clear();  // node deltas memoized below are valid for this event only
-  CHRONICLE_RETURN_NOT_OK(
-      MaintainOne(id, event, &cache_, &scratch_, 0, report));
+  scratch_.BeginTick();  // slots computed below are valid for this event only
+  CHRONICLE_RETURN_NOT_OK(MaintainOne(id, event, &scratch_, 0, report));
   if (metrics_ != nullptr) {
     size_t rows = 0;
     for (const auto& [chron, tuples] : event.inserts) {
@@ -344,66 +347,48 @@ Result<const std::set<ChronicleId>*> ViewManager::ViewChronicles(
 }
 
 Status ViewManager::MaintainOne(ViewId id, const AppendEvent& event,
-                                DeltaCache* cache, exec::PlanScratch* scratch,
-                                size_t worker, MaintenanceReport* report) {
+                                exec::PlanScratch* scratch, size_t worker,
+                                MaintenanceReport* report) {
   ViewEntry& entry = views_[id];
   Stopwatch watch;
-  // With metrics attached, the engines fill a DeltaStats (the same hook the
+  // With metrics attached, execution fills a DeltaStats (the same hook the
   // benches use) and the per-view ViewStats absorbs it below. entry.stats
   // is single-writer: this view belongs to exactly `worker` this tick.
   const bool obs_on = metrics_ != nullptr;
   DeltaStats delta_stats;
   DeltaStats* stats = obs_on ? &delta_stats : nullptr;
-  const bool compiled_path =
-      options_.use_compiled_plans && entry.compiled != nullptr;
   // EXPLAIN sampling: every plan_sample_period_-th tick of this view runs
   // with per-instruction clocks. profile_clock is single-writer, same
   // discipline as entry.stats.
   const bool profile_tick =
-      plan_profiling_ && compiled_path &&
-      entry.profile_clock++ % plan_sample_period_ == 0;
-  size_t rows = 0;
-  if (compiled_path) {
-    scratch->set_profile_slots(profile_tick);
-    // Compiled fast path: delta lands in the scratch's retained row buffer
-    // — no per-view allocation at steady state.
-    CHRONICLE_ASSIGN_OR_RETURN(
-        const std::vector<ChronicleRow>* delta,
-        entry.compiled->ExecuteToRows(event, scratch, stats));
-    rows = delta->size();
-    if (profile_tick) {
-      // Fold the sampled per-slot timings into the view's accumulator
-      // (single-writer, like entry.stats) and disarm the scratch.
-      std::vector<exec::SlotProfile>& prof = entry.slot_profile;
-      if (prof.size() != entry.compiled->num_slots()) {
-        prof.assign(entry.compiled->num_slots(), exec::SlotProfile{});
-      }
-      const std::vector<uint64_t>& ns = scratch->slot_ns();
-      const std::vector<uint64_t>& slot_rows = scratch->slot_rows();
-      const std::vector<uint8_t>& slot_vec = scratch->slot_vec();
-      for (size_t i = 0; i < prof.size(); ++i) {
-        prof[i].ns += ns[i];
-        prof[i].rows += slot_rows[i];
-        ++prof[i].samples;
-        prof[i].vec_samples += slot_vec[i];
-      }
-      scratch->set_profile_slots(false);
+      plan_profiling_ && entry.profile_clock++ % plan_sample_period_ == 0;
+  const exec::DeltaPlan& plan = *entry.compiled;
+  scratch->set_profile_slots(profile_tick);
+  // The delta stays in the scratch's slot and is folded from there — no
+  // per-view copy or allocation at steady state.
+  CHRONICLE_ASSIGN_OR_RETURN(const std::vector<Tuple>* delta,
+                             plan.ExecuteInTick(event, scratch, stats));
+  const size_t rows = delta->size();
+  if (profile_tick) {
+    // Fold the sampled per-slot timings into the view's accumulator
+    // (single-writer, like entry.stats) and disarm the scratch.
+    std::vector<exec::SlotProfile>& prof = entry.slot_profile;
+    if (prof.size() != plan.num_slots()) {
+      prof.assign(plan.num_slots(), exec::SlotProfile{});
     }
-    if (!delta->empty()) {
-      CHRONICLE_RETURN_NOT_OK(entry.view->ApplyDelta(*delta));
-      ++report->views_updated;
-      report->delta_rows_applied += delta->size();
+    for (size_t i = 0; i < prof.size(); ++i) {
+      const uint32_t slot = plan.program_slot(i);
+      prof[i].ns += scratch->slot_ns()[slot];
+      prof[i].rows += scratch->slot_rows()[slot];
+      ++prof[i].samples;
+      prof[i].vec_samples += scratch->slot_vec()[slot];
     }
-  } else {
-    CHRONICLE_ASSIGN_OR_RETURN(
-        std::vector<ChronicleRow> delta,
-        engine_.ComputeDelta(*entry.view->plan(), event, stats, cache));
-    rows = delta.size();
-    if (!delta.empty()) {
-      CHRONICLE_RETURN_NOT_OK(entry.view->ApplyDelta(delta));
-      ++report->views_updated;
-      report->delta_rows_applied += delta.size();
-    }
+    scratch->set_profile_slots(false);
+  }
+  if (rows > 0) {
+    CHRONICLE_RETURN_NOT_OK(entry.view->ApplyDelta(*delta));
+    ++report->views_updated;
+    report->delta_rows_applied += rows;
   }
   if (obs_on) {
     obs::ViewStats& s = entry.stats;
@@ -414,19 +399,15 @@ Status ViewManager::MaintainOne(ViewId id, const AppendEvent& event,
     if (delta_stats.max_intermediate_rows > s.max_intermediate_rows) {
       s.max_intermediate_rows = delta_stats.max_intermediate_rows;
     }
-    if (compiled_path) {
-      ++s.compiled_ticks;
-      if (scratch->arena_bytes_allocated() > s.arena_hwm_bytes) {
-        s.arena_hwm_bytes = scratch->arena_bytes_allocated();
-      }
-      const double load = scratch->dedupe_load_factor();
-      if (load > s.max_dedupe_load) s.max_dedupe_load = load;
-    } else {
-      ++s.interpreted_ticks;
+    ++s.compiled_ticks;
+    if (scratch->arena_bytes_allocated() > s.arena_hwm_bytes) {
+      s.arena_hwm_bytes = scratch->arena_bytes_allocated();
     }
+    const double load = scratch->dedupe_load_factor();
+    if (load > s.max_dedupe_load) s.max_dedupe_load = load;
     metrics_->Count(m_view_ticks_, 1, worker);
     metrics_->Count(m_view_delta_rows_, rows, worker);
-    report->views.push_back(MaintenanceViewOutcome{id, rows, compiled_path});
+    report->views.push_back(MaintenanceViewOutcome{id, rows});
   }
   if (profiling_) entry.latency.Record(watch.ElapsedNanos());
   return Status::OK();
@@ -445,9 +426,6 @@ Status ViewManager::MaintainParallel(const std::vector<ViewId>& work,
   struct TaskState {
     Status status;
     MaintenanceReport partial;
-    // Private per-worker memo: DAG sharing still happens within a batch,
-    // without cross-thread writes to a shared cache.
-    DeltaCache cache;
     size_t batch_views = 0;  // batch size, fixed at dispatch
     int64_t nanos = 0;       // batch wall time, measured by the worker
   };
@@ -472,9 +450,12 @@ Status ViewManager::MaintainParallel(const std::vector<ViewId>& work,
         [this, &work, &event, state, scratch, t, begin, end, obs_on, tracing] {
           const int64_t start = tracing ? trace_->NowNanos() : 0;
           Stopwatch watch;
+          // One tick per worker scratch: slots shared within the batch are
+          // computed once, with no cross-thread writes.
+          scratch->BeginTick();
           for (size_t i = begin; i < end; ++i) {
-            state->status = MaintainOne(work[i], event, &state->cache, scratch,
-                                        t, &state->partial);
+            state->status =
+                MaintainOne(work[i], event, scratch, t, &state->partial);
             if (!state->status.ok()) break;
           }
           if (obs_on) state->nanos = watch.ElapsedNanos();
@@ -499,7 +480,6 @@ Status ViewManager::MaintainParallel(const std::vector<ViewId>& work,
     CHRONICLE_RETURN_NOT_OK(task.status);
     report->views_updated += task.partial.views_updated;
     report->delta_rows_applied += task.partial.delta_rows_applied;
-    cache_.MergeCounters(task.cache);
     if (obs_on) {
       report->batches.push_back(
           MaintenanceBatch{t, task.batch_views, task.nanos});
@@ -584,6 +564,18 @@ void ViewManager::SnapshotViewStats(
   }
 }
 
+uint64_t ViewManager::delta_cache_hits() const {
+  uint64_t hits = scratch_.shared_hits();
+  for (const auto& ws : worker_scratch_) hits += ws->shared_hits();
+  return hits;
+}
+
+uint64_t ViewManager::delta_cache_misses() const {
+  uint64_t misses = scratch_.shared_misses();
+  for (const auto& ws : worker_scratch_) misses += ws->shared_misses();
+  return misses;
+}
+
 void ViewManager::set_plan_profiling(bool enabled, size_t sample_period) {
   plan_profiling_ = enabled;
   plan_sample_period_ = sample_period == 0 ? 1 : sample_period;
@@ -595,10 +587,6 @@ Result<std::string> ViewManager::ExplainView(const std::string& name) const {
     return Status::NotFound("no view named '" + name + "'");
   }
   const ViewEntry& entry = views_[it->second];
-  if (entry.compiled == nullptr) {
-    return std::string("view '") + name +
-           "': interpreted (plan outside CA, no compiled program)\n";
-  }
   return "view '" + name + "'\n" + entry.compiled->Explain(&entry.slot_profile);
 }
 
@@ -609,9 +597,6 @@ Result<std::string> ViewManager::ExplainViewJson(
     return Status::NotFound("no view named '" + name + "'");
   }
   const ViewEntry& entry = views_[it->second];
-  if (entry.compiled == nullptr) {
-    return "{\"view\":\"" + obs::JsonEscape(name) + "\",\"compiled\":false}";
-  }
   return entry.compiled->ExplainJson(name, &entry.slot_profile);
 }
 

@@ -28,11 +28,11 @@
 #include <unordered_map>
 #include <vector>
 
-#include "algebra/delta_engine.h"
 #include "common/histogram.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "exec/delta_plan.h"
+#include "exec/plan_compiler.h"
 #include "obs/metrics.h"
 #include "obs/stats.h"
 #include "obs/trace.h"
@@ -62,22 +62,11 @@ struct MaintenanceOptions {
   // each worker at least this many views; below 2x this, run serially.
   // Guards against paying dispatch latency on ticks that touch few views.
   size_t min_views_per_task = 8;
-  // Execute deltas through the compiled DeltaPlan (src/exec) each view
-  // gets at registration time: flat post-order programs over reused
-  // scratch buffers, no per-tick memo hashing or per-operator allocation.
-  // false falls back to the tree-walking DeltaEngine interpreter (which is
-  // also what any view whose plan failed to compile uses). Results are
-  // identical either way (enforced by tests/plan_equivalence_fuzz_test.cc);
-  // only the constant factors differ (bench E13). Note the interpreter's
-  // cross-view DeltaCache sharing does not apply to compiled execution —
-  // sharing there is within-plan, by slot construction.
-  bool use_compiled_plans = true;
-  // Within compiled execution, run instructions the compiler marked
-  // columnar on the vectorized column kernels (exec/vector_kernels.h).
-  // false pins every instruction to the row engine. A pure runtime toggle
-  // on PlanScratch — flipping it never recompiles a plan — and byte-for-
-  // byte output equivalence is fuzzed three ways alongside the
-  // interpreter. No effect when use_compiled_plans is false.
+  // Run instructions the compiler marked columnar on the vectorized column
+  // kernels (exec/vector_kernels.h). false pins every instruction to the
+  // row engine. A pure runtime toggle on PlanScratch — flipping it never
+  // recompiles a plan — and byte-for-byte output equivalence is fuzzed
+  // against the row engine and the naive baseline.
   bool use_columnar_kernels = true;
 };
 
@@ -87,7 +76,6 @@ struct MaintenanceOptions {
 struct MaintenanceViewOutcome {
   ViewId view = 0;
   size_t delta_rows = 0;   // rows folded into the view this tick
-  bool compiled = false;   // served by the compiled DeltaPlan
 };
 
 // Timing of one fan-out batch. One entry is emitted PER TASK, in batch
@@ -169,11 +157,16 @@ class ViewManager {
   // Sum of all views' materialized-table footprints.
   size_t MemoryFootprint() const;
 
-  // Delta-cache statistics: deltas of subexpressions shared between views
-  // (same scan, same guarded selection) are computed once per tick. Hits
-  // indicate sharing actually occurred (bench E9).
-  uint64_t delta_cache_hits() const { return cache_.hits(); }
-  uint64_t delta_cache_misses() const { return cache_.misses(); }
+  // Shared-slot statistics: every view's plan is compiled into one slot
+  // program, so a subexpression shared between views (same scan, same
+  // guarded selection) is computed once per tick per scratch. A hit is an
+  // instruction served from a slot already computed this tick; a miss is
+  // an instruction executed (bench E9).
+  uint64_t delta_cache_hits() const;
+  uint64_t delta_cache_misses() const;
+  // Slots in the shared program. Bounded by the live views' plans:
+  // DropView rebuilds the program from the views that remain.
+  size_t program_slots() const { return compiler_.num_slots(); }
 
   // Per-view maintenance latency profiling (delta computation + fold).
   // Off by default: the timestamping costs two clock reads per view per
@@ -208,8 +201,7 @@ class ViewManager {
 
   // EXPLAIN for one view: the compiled plan tree annotated with the
   // sampled per-slot time shares and row counts (structure only until
-  // samples exist). An interpreted-only view yields a one-line note (text)
-  // / {"compiled":false} (JSON).
+  // samples exist). Slots are numbered plan-locally.
   Result<std::string> ExplainView(const std::string& name) const;
   Result<std::string> ExplainViewJson(const std::string& name) const;
   // The raw accumulator (empty until a profiled tick ran); exposed for the
@@ -234,9 +226,8 @@ class ViewManager {
   };
   struct ViewEntry {
     std::unique_ptr<PersistentView> view;
-    // Compiled at AddView (never on the append path); null only if the
-    // plan is outside CA, in which case the interpreter path — which
-    // rejects it with the same diagnostic — serves the view.
+    // Compiled into the shared program at AddView (never on the append
+    // path); recompiled when DropView rebuilds the program.
     exec::DeltaPlanPtr compiled;
     std::vector<ScanGuard> guards;      // one per scan in the plan
     std::set<ChronicleId> chronicles;   // base chronicles the view reads
@@ -264,13 +255,12 @@ class ViewManager {
   Result<bool> GuardsPass(const ViewEntry& entry, const AppendEvent& event) const;
 
   // Computes and folds one view's delta for the tick, accumulating into
-  // `report`. `cache` is the per-tick delta memo the call may share with
-  // other views (serial path: all views; parallel path: one per worker) —
-  // interpreter mode only. `scratch` is the reused-across-ticks compiled
-  // execution state (serial path: the manager's; parallel path: one per
-  // worker) — compiled mode only. `worker` is the fan-out task index (0 on
-  // the serial path), used to pick the metric shard.
-  Status MaintainOne(ViewId id, const AppendEvent& event, DeltaCache* cache,
+  // `report`. `scratch` is the reused-across-ticks execution state, already
+  // in this event's tick (serial path: the manager's; parallel path: one
+  // per worker), so slots shared with views maintained earlier on it this
+  // tick are served, not recomputed. `worker` is the fan-out task index (0
+  // on the serial path), used to pick the metric shard.
+  Status MaintainOne(ViewId id, const AppendEvent& event,
                      exec::PlanScratch* scratch, size_t worker,
                      MaintenanceReport* report);
 
@@ -298,11 +288,12 @@ class ViewManager {
   bool plan_profiling_ = false;     // per-slot EXPLAIN sampling
   size_t plan_sample_period_ = 16;  // profile every Nth tick per view
   size_t live_views_ = 0;
-  DeltaEngine engine_;
-  DeltaCache cache_;  // reset at the start of every ProcessAppend
-  // Compiled-execution scratch, reused across ticks (clear, don't free).
-  // scratch_ serves the serial path; worker_scratch_[t] is owned by task t
-  // of the parallel fan-out — no shared mutable state between workers.
+  // The shared slot program every live view's plan is compiled into.
+  exec::PlanCompiler compiler_;
+  // Execution scratch, reused across ticks (clear, don't free). scratch_
+  // serves the serial path; worker_scratch_[t] is owned by task t of the
+  // parallel fan-out — no shared mutable state between workers, so slot
+  // sharing happens within one worker's batch.
   exec::PlanScratch scratch_;
   std::vector<std::unique_ptr<exec::PlanScratch>> worker_scratch_;
   MaintenanceOptions options_;

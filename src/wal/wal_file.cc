@@ -141,18 +141,37 @@ Result<std::string> ReadFileToString(const std::string& path) {
   return data;
 }
 
+namespace {
+
+Status WriteAndSync(const std::string& path, std::string_view data) {
+  CHRONICLE_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> f,
+                             OpenWritableFile(path));
+  CHRONICLE_RETURN_NOT_OK(f->Append(data));
+  CHRONICLE_RETURN_NOT_OK(f->Sync());
+  return f->Close();
+}
+
+}  // namespace
+
 Status AtomicWriteFile(const std::string& path, std::string_view data) {
   const std::string tmp = path + ".tmp";
-  {
-    CHRONICLE_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> f,
-                               OpenWritableFile(tmp));
-    CHRONICLE_RETURN_NOT_OK(f->Append(data));
-    CHRONICLE_RETURN_NOT_OK(f->Sync());
-    CHRONICLE_RETURN_NOT_OK(f->Close());
+  Status written = WriteAndSync(tmp, data);
+  if (written.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    written = Status::DataLoss("rename '" + tmp + "' -> '" + path +
+                               "' failed: " + std::strerror(errno));
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::DataLoss("rename '" + tmp + "' -> '" + path +
-                            "' failed: " + std::strerror(errno));
+  if (!written.ok()) {
+    ::unlink(tmp.c_str());
+    return written;
+  }
+  // Make the rename itself durable.
+  const size_t slash = path.find_last_of('/');
+  const std::string dir =
+      slash == std::string::npos ? std::string(".") : path.substr(0, slash + 1);
+  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dfd >= 0) {
+    ::fsync(dfd);
+    ::close(dfd);
   }
   return Status::OK();
 }

@@ -95,9 +95,12 @@ class FaultInjectingFile : public WritableFile {
 // Reads a whole file into a string. NotFound if the file does not exist.
 Result<std::string> ReadFileToString(const std::string& path);
 
-// Writes `data` to `path` atomically: write to a temp file in the same
-// directory, sync, then rename over the target. A crash leaves either the
-// old file or the new one, never a torn mixture.
+// Writes `data` to `path` atomically: write `path` + ".tmp" in the same
+// directory, fsync it, rename it over the target, then fsync the directory
+// so the rename itself is durable. A crash leaves either the old file or
+// the new one, never a torn mixture; a failure unlinks the temp file and
+// leaves the old file untouched. The one durable whole-file write path
+// (WAL checkpoints, store segments, CQL CHECKPOINT TO).
 Status AtomicWriteFile(const std::string& path, std::string_view data);
 
 }  // namespace wal

@@ -1,8 +1,8 @@
 // Replayable backfill: RegisterViewWithBackfill on a database that has
 // already processed appends must produce a view byte-identical to one
 // registered before SN 1 — across retention modes (All in memory, Tiered
-// with most history in warm segments) and across both execution engines
-// (interpreter and compiled delta plans).
+// with most history in warm segments) and across both kernel modes of the
+// compiled delta plans (row and columnar).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -31,10 +31,10 @@ struct ScratchDir {
 
 enum class Tiering { kAllInMemory, kTiered };
 
-DatabaseOptions MakeOptions(Tiering tiering, bool compiled,
+DatabaseOptions MakeOptions(Tiering tiering, bool columnar,
                             const std::string& dir) {
   DatabaseOptions options;
-  options.maintenance.use_compiled_plans = compiled;
+  options.maintenance.use_columnar_kernels = columnar;
   if (tiering == Tiering::kTiered) {
     store::StorageOptions storage;
     storage.data_dir = dir;
@@ -69,11 +69,11 @@ void AppendWorkload(ChronicleDatabase* db, int ticks) {
 }
 
 // Registered-at-SN-0 reference vs late registration with backfill.
-void RunEquivalence(Tiering tiering, bool compiled) {
+void RunEquivalence(Tiering tiering, bool columnar) {
   ScratchDir ref_dir("ref"), late_dir("late");
   const int kTicks = 120;
 
-  ChronicleDatabase reference(MakeOptions(tiering, compiled, ref_dir.path));
+  ChronicleDatabase reference(MakeOptions(tiering, columnar, ref_dir.path));
   ASSERT_TRUE(reference
                   .CreateChronicle("calls", CallRecordGenerator::RecordSchema(),
                                    PolicyFor(tiering))
@@ -81,7 +81,7 @@ void RunEquivalence(Tiering tiering, bool compiled) {
   CreateMinutesView(&reference);
   AppendWorkload(&reference, kTicks);
 
-  ChronicleDatabase late(MakeOptions(tiering, compiled, late_dir.path));
+  ChronicleDatabase late(MakeOptions(tiering, columnar, late_dir.path));
   ASSERT_TRUE(late.CreateChronicle("calls",
                                    CallRecordGenerator::RecordSchema(),
                                    PolicyFor(tiering))
@@ -109,17 +109,17 @@ void RunEquivalence(Tiering tiering, bool compiled) {
             reference.ScanView("minutes").value());
 }
 
-TEST(Backfill, AllRetentionInterpreter) {
-  RunEquivalence(Tiering::kAllInMemory, /*compiled=*/false);
+TEST(Backfill, AllRetentionRow) {
+  RunEquivalence(Tiering::kAllInMemory, /*columnar=*/false);
 }
-TEST(Backfill, AllRetentionCompiled) {
-  RunEquivalence(Tiering::kAllInMemory, /*compiled=*/true);
+TEST(Backfill, AllRetentionColumnar) {
+  RunEquivalence(Tiering::kAllInMemory, /*columnar=*/true);
 }
-TEST(Backfill, TieredRetentionInterpreter) {
-  RunEquivalence(Tiering::kTiered, /*compiled=*/false);
+TEST(Backfill, TieredRetentionRow) {
+  RunEquivalence(Tiering::kTiered, /*columnar=*/false);
 }
-TEST(Backfill, TieredRetentionCompiled) {
-  RunEquivalence(Tiering::kTiered, /*compiled=*/true);
+TEST(Backfill, TieredRetentionColumnar) {
+  RunEquivalence(Tiering::kTiered, /*columnar=*/true);
 }
 
 TEST(Backfill, TieredSpillsActuallyHappened) {

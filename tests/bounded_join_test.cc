@@ -6,9 +6,9 @@
 
 #include "algebra/complexity.h"
 #include "common/random.h"
-#include "algebra/delta_engine.h"
 #include "algebra/validate.h"
 #include "baseline/naive_engine.h"
+#include "exec/plan_compiler.h"
 #include "views/persistent_view.h"
 
 namespace chronicle {
@@ -86,20 +86,21 @@ TEST(BoundedJoinTest, DeltaExpandsByMatches) {
   CaExprPtr plan =
       CaExpr::RelBoundedJoin(ScanCalls(), &features, "plan_id", "plan_id", 2)
           .value();
-  DeltaEngine engine;
+  exec::DeltaPlanPtr compiled = exec::CompileDeltaPlan(plan).value();
+  exec::PlanScratch scratch;
   DeltaStats stats;
-  auto delta = engine
-                   .ComputeDelta(*plan,
-                                 Event(1, {Tuple{Value(7), Value(1), Value(5)},
-                                           Tuple{Value(8), Value(2), Value(6)},
-                                           Tuple{Value(9), Value(99), Value(7)}}),
-                                 &stats)
-                   .value();
+  const std::vector<Tuple>* delta =
+      compiled
+          ->Execute(Event(1, {Tuple{Value(7), Value(1), Value(5)},
+                              Tuple{Value(8), Value(2), Value(6)},
+                              Tuple{Value(9), Value(99), Value(7)}}),
+                    &scratch, &stats)
+          .value();
   // plan 1 -> 2 features, plan 2 -> 1, plan 99 -> 0.
-  EXPECT_EQ(delta.size(), 3u);
+  EXPECT_EQ(delta->size(), 3u);
   EXPECT_EQ(stats.relation_lookups, 3u);
-  for (const ChronicleRow& row : delta) {
-    EXPECT_EQ(row.values.size(), 6u);  // 3 chronicle + 3 relation columns
+  for (const Tuple& row : *delta) {
+    EXPECT_EQ(row.size(), 6u);  // 3 chronicle + 3 relation columns
   }
 }
 
@@ -111,10 +112,11 @@ TEST(BoundedJoinTest, BoundViolationIsIntegrityError) {
   // Violate the constraint: plan 1 now has 3 feature rows.
   ASSERT_TRUE(
       features.Insert(Tuple{Value(1), Value("evening"), Value(0.01)}).ok());
-  DeltaEngine engine;
-  Status st = engine
-                  .ComputeDelta(*plan,
-                                Event(1, {Tuple{Value(7), Value(1), Value(5)}}))
+  exec::PlanScratch scratch;
+  Status st = exec::CompileDeltaPlan(plan)
+                  .value()
+                  ->Execute(Event(1, {Tuple{Value(7), Value(1), Value(5)}}),
+                            &scratch, nullptr)
                   .status();
   ASSERT_TRUE(st.IsFailedPrecondition());
   EXPECT_NE(st.message().find("Definition 4.2"), std::string::npos);
@@ -135,7 +137,8 @@ TEST(BoundedJoinTest, MatchesOracleRecomputation) {
                          .value();
   auto view = PersistentView::Make(0, "by_feature", plan, spec).value();
 
-  DeltaEngine engine;
+  exec::DeltaPlanPtr compiled = exec::CompileDeltaPlan(plan).value();
+  exec::PlanScratch scratch;
   Rng rng(5);
   for (int tick = 0; tick < 100; ++tick) {
     AppendEvent event =
@@ -144,7 +147,9 @@ TEST(BoundedJoinTest, MatchesOracleRecomputation) {
                                   Value(static_cast<int64_t>(rng.Uniform(4))),
                                   Value(static_cast<int64_t>(rng.Uniform(60)))}})
             .value();
-    ASSERT_TRUE(view->ApplyDelta(engine.ComputeDelta(*plan, event).value()).ok());
+    ASSERT_TRUE(
+        view->ApplyDelta(*compiled->Execute(event, &scratch, nullptr).value())
+            .ok());
   }
 
   NaiveEngine oracle(&group);
@@ -164,17 +169,18 @@ TEST(BoundedJoinTest, SeesCurrentRelationVersion) {
           CaExpr::Scan(*group.GetChronicle(calls).value()).value(), &features,
           "plan_id", "plan_id", 2)
           .value();
-  DeltaEngine engine;
+  exec::DeltaPlanPtr compiled = exec::CompileDeltaPlan(plan).value();
+  exec::PlanScratch scratch;
 
   AppendEvent e1 =
       group.Append(calls, {Tuple{Value(1), Value(2), Value(5)}}).value();
-  EXPECT_EQ(engine.ComputeDelta(*plan, e1).value().size(), 1u);
+  EXPECT_EQ(compiled->Execute(e1, &scratch, nullptr).value()->size(), 1u);
 
   // Proactive feature addition for plan 2: future ticks see both rows.
   ASSERT_TRUE(features.Insert(Tuple{Value(2), Value("intl"), Value(0.2)}).ok());
   AppendEvent e2 =
       group.Append(calls, {Tuple{Value(1), Value(2), Value(5)}}).value();
-  EXPECT_EQ(engine.ComputeDelta(*plan, e2).value().size(), 2u);
+  EXPECT_EQ(compiled->Execute(e2, &scratch, nullptr).value()->size(), 2u);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 #include "checkpoint/checkpoint.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 
 #include "baseline/naive_engine.h"
 #include "checkpoint/serde.h"
@@ -261,6 +263,36 @@ TEST(CheckpointTest, FileRoundTrip) {
   ApplyDdl(&other);
   EXPECT_TRUE(
       RestoreDatabaseFromFile("/tmp/does_not_exist.ckpt", &other).IsNotFound());
+}
+
+TEST(CheckpointTest, FailedSaveKeepsThePreviousCheckpoint) {
+  ChronicleDatabase db;
+  ApplyDdl(&db);
+  CallRecordGenerator gen(CallRecordOptions{});
+  Chronon chronon = 0;
+  Stream(&db, &gen, 20, &chronon);
+
+  const std::string path = "/tmp/chronicle_checkpoint_test_" +
+                           std::to_string(::getpid()) + ".ckpt";
+  ASSERT_TRUE(SaveDatabaseToFile(db, path).ok());
+  const std::vector<Tuple> saved = db.ScanView("minutes").value();
+
+  // More state, then a save that cannot complete: the temp file the write
+  // goes through is occupied by a directory.
+  Stream(&db, &gen, 20, &chronon);
+  const std::string tmp = path + ".tmp";
+  ASSERT_TRUE(std::filesystem::create_directory(tmp));
+  EXPECT_FALSE(SaveDatabaseToFile(db, path).ok());
+  std::filesystem::remove(tmp);
+
+  // The previous checkpoint is intact and restores to the saved state.
+  ChronicleDatabase restored;
+  ApplyDdl(&restored);
+  ASSERT_TRUE(RestoreDatabaseFromFile(path, &restored).ok());
+  EXPECT_EQ(restored.ScanView("minutes").value(), saved);
+  EXPECT_NE(restored.ScanView("minutes").value(),
+            db.ScanView("minutes").value());
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -149,14 +149,12 @@ TEST(CqlSessionTest, AppendRowsIsTheBulkIngestPath) {
 TEST(CqlSessionTest, ReconfigureMaintenanceBroadcastsToEveryEngine) {
   std::unique_ptr<Session> session = Open(4);
   MaintenanceOptions m = session->maintenance_options();
-  m.use_compiled_plans = true;
-  m.use_columnar_kernels = true;
+  m.use_columnar_kernels = false;  // flips the default
   session->ReconfigureMaintenance(m);
   for (size_t k = 0; k < 4; ++k) {
     const MaintenanceOptions& got =
         session->sharded_db()->engine(k).maintenance_options();
-    EXPECT_TRUE(got.use_compiled_plans);
-    EXPECT_TRUE(got.use_columnar_kernels);
+    EXPECT_FALSE(got.use_columnar_kernels);
   }
 }
 

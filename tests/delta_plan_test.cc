@@ -1,16 +1,15 @@
 // Unit tests for the DeltaPlan compiler (src/exec): post-order slot
-// assignment, DAG sharing by construction, Theorem 4.3 rejection parity
-// with the interpreter, scratch reuse, and the Arena allocator.
+// assignment, DAG sharing by construction, Theorem 4.3 rejection, scratch
+// reuse, and the Arena allocator. The per-operator delta rules live in
+// delta_engine_test; cross-plan slot sharing lives in shared_program_test.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "algebra/delta_engine.h"
 #include "common/arena.h"
 #include "exec/plan_compiler.h"
-#include "storage/relation.h"
 
 namespace chronicle {
 namespace {
@@ -21,11 +20,11 @@ Schema CallSchema() {
                  {"minutes", DataType::kInt64}});
 }
 
-AppendEvent Event(SeqNum sn, std::vector<Tuple> tuples) {
+AppendEvent Event(SeqNum sn, std::vector<Tuple> tuples, ChronicleId id = 0) {
   AppendEvent event;
   event.sn = sn;
   event.chronon = static_cast<Chronon>(sn);
-  event.inserts.emplace_back(0, std::move(tuples));
+  event.inserts.emplace_back(id, std::move(tuples));
   return event;
 }
 
@@ -61,9 +60,8 @@ TEST(PlanCompilerTest, PostOrderSlotAssignment) {
 }
 
 TEST(PlanCompilerTest, SharedSubexpressionLoweredOnce) {
-  // Two projections over one shared selection: the interpreter re-memoizes
-  // the selection every tick; the compiler resolves the second edge to the
-  // already-assigned slot.
+  // Two projections over one shared selection: the compiler resolves the
+  // second edge to the already-assigned slot.
   CaExprPtr scan = CaExpr::Scan(0, "calls", CallSchema()).value();
   CaExprPtr select =
       CaExpr::Select(scan, Gt(Col("minutes"), Lit(Value(0)))).value();
@@ -92,7 +90,7 @@ TEST(PlanCompilerTest, SharedSubexpressionLoweredOnce) {
             join_plan->instructions()[2].in1);
 }
 
-TEST(PlanCompilerTest, Theorem43OpsRejectedWithInterpreterDiagnostics) {
+TEST(PlanCompilerTest, Theorem43OpsRejected) {
   CaExprPtr scan = CaExpr::Scan(0, "calls", CallSchema()).value();
   std::vector<CaExprPtr> illegal = {
       CaExpr::ProjectDropSn(scan, {"caller"}).value(),
@@ -101,19 +99,15 @@ TEST(PlanCompilerTest, Theorem43OpsRejectedWithInterpreterDiagnostics) {
       CaExpr::SeqThetaJoin(scan, scan, CompareOp::kLt).value(),
   };
 
-  DeltaEngine engine;
-  AppendEvent event = Event(1, {Call(1, "NJ", 5)});
   for (const CaExprPtr& expr : illegal) {
     SCOPED_TRACE(CaOpToString(expr->op()));
     Result<exec::DeltaPlanPtr> compiled = exec::CompileDeltaPlan(expr);
     ASSERT_FALSE(compiled.ok());
     EXPECT_EQ(compiled.status().code(), StatusCode::kInvalidArgument);
-    // The compile-time diagnostic is the interpreter's runtime diagnostic,
-    // verbatim: callers see one error text regardless of engine.
-    Result<std::vector<ChronicleRow>> interpreted =
-        engine.ComputeDelta(*expr, event, nullptr, nullptr);
-    ASSERT_FALSE(interpreted.ok());
-    EXPECT_EQ(compiled.status().message(), interpreted.status().message());
+    EXPECT_EQ(compiled.status().message(),
+              std::string("operator ") + CaOpToString(expr->op()) +
+                  " is outside chronicle algebra and cannot be maintained "
+                  "incrementally without chronicle access (Theorem 4.3)");
   }
 }
 
@@ -132,7 +126,7 @@ TEST(PlanCompilerTest, ToStringRendersProgram) {
   EXPECT_NE(text.find("root: s1"), std::string::npos) << text;
 }
 
-TEST(DeltaPlanTest, ExecuteMatchesInterpreterOnSimplePlan) {
+TEST(DeltaPlanTest, ExecuteToRowsStampsTheTickSn) {
   CaExprPtr scan = CaExpr::Scan(0, "calls", CallSchema()).value();
   CaExprPtr plan_expr =
       CaExpr::GroupBySeq(CaExpr::Select(scan, Ge(Col("minutes"), Lit(Value(3))))
@@ -141,21 +135,24 @@ TEST(DeltaPlanTest, ExecuteMatchesInterpreterOnSimplePlan) {
           .value();
   exec::DeltaPlanPtr plan = exec::CompileDeltaPlan(plan_expr).value();
 
-  DeltaEngine engine;
   exec::PlanScratch scratch;
+  exec::PlanScratch reference;  // plain Execute on a second scratch
   for (SeqNum sn = 1; sn <= 3; ++sn) {
     AppendEvent event = Event(
         sn, {Call(1, "NJ", 2 + static_cast<int64_t>(sn)), Call(2, "NJ", 9),
              Call(3, "NY", 1)});
-    std::vector<ChronicleRow> interpreted =
-        engine.ComputeDelta(*plan_expr, event, nullptr, nullptr).value();
-    const std::vector<ChronicleRow>* compiled =
+    const std::vector<Tuple>* tuples =
+        plan->Execute(event, &reference, nullptr).value();
+    const std::vector<ChronicleRow>* rows =
         plan->ExecuteToRows(event, &scratch, nullptr).value();
-    ASSERT_EQ(interpreted.size(), compiled->size());
-    for (size_t i = 0; i < interpreted.size(); ++i) {
-      EXPECT_EQ(interpreted[i], (*compiled)[i]);
-      EXPECT_EQ((*compiled)[i].sn, sn);
+    ASSERT_EQ(tuples->size(), rows->size());
+    ASSERT_EQ(rows->size(), 1u);  // NJ only: the NY call fails the select
+    for (size_t i = 0; i < rows->size(); ++i) {
+      EXPECT_EQ((*tuples)[i], (*rows)[i].values);
+      EXPECT_EQ((*rows)[i].sn, sn);
     }
+    EXPECT_EQ((*rows)[0].values,
+              (Tuple{Value("NJ"), Value(11 + static_cast<int64_t>(sn))}));
   }
 }
 
@@ -185,40 +182,6 @@ TEST(DeltaPlanTest, ScratchIsReusedAcrossTicksAndPlans) {
   EXPECT_EQ(scratch.num_slots(), big_plan->num_slots());
   ASSERT_EQ(delta->size(), 1u);
   EXPECT_EQ((*delta)[0][0], Value(3));
-}
-
-TEST(DeltaPlanTest, BoundedJoinViolationMatchesInterpreterError) {
-  Relation rel =
-      Relation::Make("cust",
-                     Schema({{"acct", DataType::kInt64},
-                             {"state", DataType::kString}}),
-                     "acct")
-          .value();
-  ASSERT_TRUE(rel.CreateSecondaryIndex("state").ok());
-  ASSERT_TRUE(rel.Insert(Tuple{Value(int64_t{1}), Value("NJ")}).ok());
-  ASSERT_TRUE(rel.Insert(Tuple{Value(int64_t{2}), Value("NJ")}).ok());
-
-  CaExprPtr scan =
-      CaExpr::Scan(0, "calls",
-                   Schema({{"state", DataType::kString},
-                           {"minutes", DataType::kInt64}}))
-          .value();
-  // Declared bound 1, but "NJ" matches two relation rows.
-  CaExprPtr join =
-      CaExpr::RelBoundedJoin(scan, &rel, "state", "state", 1).value();
-  exec::DeltaPlanPtr plan = exec::CompileDeltaPlan(join).value();
-
-  AppendEvent event = Event(1, {Tuple{Value("NJ"), Value(int64_t{5})}});
-  DeltaEngine engine;
-  Result<std::vector<ChronicleRow>> interpreted =
-      engine.ComputeDelta(*join, event, nullptr, nullptr);
-  exec::PlanScratch scratch;
-  Result<const std::vector<Tuple>*> compiled =
-      plan->Execute(event, &scratch, nullptr);
-  ASSERT_FALSE(interpreted.ok());
-  ASSERT_FALSE(compiled.ok());
-  EXPECT_EQ(compiled.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(compiled.status().message(), interpreted.status().message());
 }
 
 TEST(ArenaTest, AllocationsAreAlignedAndReset) {

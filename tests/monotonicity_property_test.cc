@@ -13,9 +13,9 @@
 #include <set>
 #include <unordered_set>
 
-#include "algebra/delta_engine.h"
 #include "baseline/naive_engine.h"
 #include "common/random.h"
+#include "exec/plan_compiler.h"
 
 namespace chronicle {
 namespace {
@@ -96,7 +96,8 @@ TEST_P(MonotonicityTest, DeltasOnlyAddRowsWithTheNewSn) {
   CaExprPtr scan_b = CaExpr::Scan(*group.GetChronicle(cb).value()).value();
   CaExprPtr plan = Plans(scan_a, scan_b, &rel)[GetParam()];
 
-  DeltaEngine delta_engine;
+  exec::DeltaPlanPtr compiled = exec::CompileDeltaPlan(plan).value();
+  exec::PlanScratch scratch;
   NaiveEngine oracle(&group);
   Rng rng(GetParam() * 7919 + 13);
 
@@ -118,7 +119,7 @@ TEST_P(MonotonicityTest, DeltasOnlyAddRowsWithTheNewSn) {
             .value();
 
     std::vector<ChronicleRow> delta =
-        delta_engine.ComputeDelta(*plan, event).value();
+        *compiled->ExecuteToRows(event, &scratch, nullptr).value();
 
     // (1) Every delta row carries exactly the tick's fresh SN.
     for (const ChronicleRow& row : delta) {
@@ -163,7 +164,9 @@ TEST(ChronicleIndependenceTest, DeltaIdenticalWithoutStoredChronicle) {
                      Gt(Col("minutes"), Lit(Value(10))))
           .value();
 
-  DeltaEngine engine;
+  exec::DeltaPlanPtr compiled_s = exec::CompileDeltaPlan(plan_s).value();
+  exec::DeltaPlanPtr compiled_n = exec::CompileDeltaPlan(plan_n).value();
+  exec::PlanScratch scratch_s, scratch_n;
   Rng rng(55);
   for (int tick = 0; tick < 100; ++tick) {
     Tuple call{Value(static_cast<int64_t>(rng.Uniform(5))),
@@ -171,12 +174,11 @@ TEST(ChronicleIndependenceTest, DeltaIdenticalWithoutStoredChronicle) {
                Value(static_cast<int64_t>(rng.Uniform(30)))};
     AppendEvent es = stored.Append(cs, {call}).value();
     AppendEvent en = stream.Append(cn, {call}).value();
-    auto ds = engine.ComputeDelta(*plan_s, es).value();
-    auto dn = engine.ComputeDelta(*plan_n, en).value();
-    ASSERT_EQ(ds.size(), dn.size());
-    for (size_t i = 0; i < ds.size(); ++i) {
-      EXPECT_EQ(ds[i].values, dn[i].values);
-    }
+    const std::vector<Tuple>* ds =
+        compiled_s->Execute(es, &scratch_s, nullptr).value();
+    const std::vector<Tuple>* dn =
+        compiled_n->Execute(en, &scratch_n, nullptr).value();
+    EXPECT_EQ(*ds, *dn);
   }
   // The streaming group really stored nothing.
   EXPECT_EQ(stream.GetChronicle(cn).value()->retained().size(), 0u);
@@ -198,14 +200,15 @@ TEST(ChronicleIndependenceTest, WorkingSetIndependentOfHistoryLength) {
                          &rel, "caller")
           .value();
 
-  DeltaEngine engine;
+  exec::DeltaPlanPtr compiled = exec::CompileDeltaPlan(plan).value();
+  exec::PlanScratch scratch;
   size_t early_peak = 0, late_peak = 0;
   for (int tick = 0; tick < 2000; ++tick) {
     AppendEvent event =
         group.Append(calls, {Tuple{Value(tick % 16), Value("NJ"), Value(1)}})
             .value();
     DeltaStats stats;
-    ASSERT_TRUE(engine.ComputeDelta(*plan, event, &stats).ok());
+    ASSERT_TRUE(compiled->Execute(event, &scratch, &stats).ok());
     if (tick < 100) {
       early_peak = std::max(early_peak, stats.max_intermediate_rows);
     }
@@ -238,9 +241,10 @@ TEST(ChronicleIndependenceTest, KeyJoinLookupCountMatchesBatchNotRelation) {
                             Tuple{Value(2), Value("NJ"), Value(2)},
                             Tuple{Value(3), Value("NJ"), Value(3)}})
             .value();
-    DeltaEngine engine;
+    exec::PlanScratch scratch;
     DeltaStats stats;
-    ASSERT_TRUE(engine.ComputeDelta(*plan, event, &stats).ok());
+    ASSERT_TRUE(exec::CompileDeltaPlan(plan).value()->Execute(event, &scratch,
+                                                              &stats).ok());
     EXPECT_EQ(stats.relation_lookups, 3u) << "|R|=" << rel_size;
     EXPECT_EQ(stats.relation_rows_scanned, 0u);
   }

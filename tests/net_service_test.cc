@@ -11,8 +11,8 @@
 //     the state matches a local oracle exactly (nothing dropped, nothing
 //     duplicated).
 //   * Equivalence: networked ingest lands byte-identically to local
-//     AppendMany across the interpreted, compiled, and columnar delta
-//     engines, and on a sharded session.
+//     AppendMany on the row-compiled and columnar delta engines, and on a
+//     sharded session.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -745,7 +745,6 @@ TEST_F(NetServiceTest, BackpressureIsPerSessionAndLossless) {
 struct EngineConfig {
   const char* name;
   size_t shards;
-  bool compiled;
   bool columnar;
 };
 
@@ -762,7 +761,6 @@ TEST_P(NetEquivalenceTest, NetworkedMatchesLocalAppendMany) {
   ASSERT_NE(oracle, nullptr);
   for (Session* s : {server.get(), oracle.get()}) {
     MaintenanceOptions m = s->maintenance_options();
-    m.use_compiled_plans = cfg.compiled;
     m.use_columnar_kernels = cfg.columnar;
     s->ReconfigureMaintenance(m);
   }
@@ -808,10 +806,9 @@ TEST_P(NetEquivalenceTest, NetworkedMatchesLocalAppendMany) {
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, NetEquivalenceTest,
-    ::testing::Values(EngineConfig{"interp", 1, false, false},
-                      EngineConfig{"compiled", 1, true, false},
-                      EngineConfig{"columnar", 1, true, true},
-                      EngineConfig{"sharded4", 4, false, false}),
+    ::testing::Values(EngineConfig{"compiled", 1, false},
+                      EngineConfig{"columnar", 1, true},
+                      EngineConfig{"sharded4", 4, false}),
     [](const ::testing::TestParamInfo<EngineConfig>& info) {
       return info.param.name;
     });

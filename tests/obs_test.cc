@@ -177,12 +177,12 @@ TEST(DatabaseOptionsTest, BuilderChainsAndAggregateAccessAgree) {
   DatabaseOptions options = DatabaseOptions()
                                 .set_routing(RoutingMode::kGuards)
                                 .set_num_threads(4)
-                                .set_use_compiled_plans(false)
+                                .set_use_columnar_kernels(false)
                                 .set_trace_capacity(32)
                                 .set_profile_view_latency(true);
   EXPECT_EQ(options.routing, RoutingMode::kGuards);
   EXPECT_EQ(options.maintenance.num_threads, 4u);
-  EXPECT_FALSE(options.maintenance.use_compiled_plans);
+  EXPECT_FALSE(options.maintenance.use_columnar_kernels);
   EXPECT_EQ(options.observability.trace_capacity, 32u);
   EXPECT_TRUE(options.observability.profile_view_latency);
 
@@ -253,7 +253,9 @@ obs::StatsSnapshot RunMaintenance(size_t num_threads, size_t num_views,
     SummarySpec spec = SummarySpec::GroupBy(plan->schema(), {"caller"},
                                             {AggSpec::Sum("minutes", "m")})
                            .value();
-    EXPECT_TRUE(db.CreateView("v" + std::to_string(v), plan, spec).ok());
+    std::string name = "v";
+    name += std::to_string(v);
+    EXPECT_TRUE(db.CreateView(name, plan, spec).ok());
   }
   for (uint64_t i = 0; i < ticks; ++i) {
     AppendResult result =
@@ -337,7 +339,9 @@ TEST(MaintenanceMetricsTest, TraceRecordsTickRoutingAndMerge) {
     SummarySpec spec = SummarySpec::GroupBy(scan->schema(), {"caller"},
                                             {AggSpec::Count("n")})
                            .value();
-    ASSERT_TRUE(db.CreateView("v" + std::to_string(v), scan, spec).ok());
+    std::string name = "v";
+    name += std::to_string(v);
+    ASSERT_TRUE(db.CreateView(name, scan, spec).ok());
   }
   ASSERT_TRUE(db.Append("calls", {Call(1, "NJ", 5)}).ok());
 
@@ -396,7 +400,7 @@ TEST(ExporterRoundTripTest, SnapshotMatchesAccumulatedReports) {
       s.ticks += 1;
       s.delta_rows += outcome.delta_rows;
       if (outcome.delta_rows > 0) s.updates += 1;
-      if (outcome.compiled) s.compiled_ticks += 1;
+      s.compiled_ticks += 1;  // every tick runs a compiled plan
     }
   }
   ASSERT_EQ(rebuilt.size(), kViews);

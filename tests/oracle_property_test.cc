@@ -13,6 +13,7 @@
 
 #include "baseline/naive_engine.h"
 #include "common/random.h"
+#include "exec/plan_compiler.h"
 #include "views/view_manager.h"
 
 namespace chronicle {
@@ -226,7 +227,8 @@ TEST_P(OraclePropertyTest, IncrementalMatchesFullRecompute) {
       PersistentView::Make(0, scenario.name, plan, spec, {}, param.index_mode)
           .value();
 
-  DeltaEngine delta_engine;
+  exec::DeltaPlanPtr compiled = exec::CompileDeltaPlan(plan).value();
+  exec::PlanScratch scratch;
   NaiveEngine oracle(&group, &history);
 
   auto random_call = [&]() {
@@ -262,9 +264,9 @@ TEST_P(OraclePropertyTest, IncrementalMatchesFullRecompute) {
         group.AppendMulti(std::move(inserts), static_cast<Chronon>(tick))
             .value();
 
-    auto delta = delta_engine.ComputeDelta(*plan, event);
+    auto delta = compiled->Execute(event, &scratch, nullptr);
     ASSERT_TRUE(delta.ok()) << delta.status().ToString();
-    ASSERT_TRUE(view->ApplyDelta(*delta).ok());
+    ASSERT_TRUE(view->ApplyDelta(**delta).ok());
 
     if (tick % 20 != 19) continue;
     // Oracle: recompute the whole view from the stored chronicle + history.

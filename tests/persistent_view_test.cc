@@ -13,12 +13,6 @@ Schema CallSchema() {
 
 CaExprPtr ScanCalls() { return CaExpr::Scan(0, "calls", CallSchema()).value(); }
 
-std::vector<ChronicleRow> Rows(SeqNum sn, std::vector<Tuple> tuples) {
-  std::vector<ChronicleRow> out;
-  for (Tuple& t : tuples) out.push_back(ChronicleRow{sn, std::move(t)});
-  return out;
-}
-
 std::unique_ptr<PersistentView> MinutesView(IndexMode mode = IndexMode::kHash) {
   SummarySpec spec =
       SummarySpec::GroupBy(CallSchema(), {"caller"},
@@ -31,11 +25,11 @@ class PersistentViewModeTest : public ::testing::TestWithParam<IndexMode> {};
 
 TEST_P(PersistentViewModeTest, AccumulatesAcrossTicks) {
   auto view = MinutesView(GetParam());
-  ASSERT_TRUE(view->ApplyDelta(Rows(1, {Tuple{Value(1), Value("NJ"), Value(5)},
+  ASSERT_TRUE(view->ApplyDelta(std::vector<Tuple>({Tuple{Value(1), Value("NJ"), Value(5)},
                                         Tuple{Value(2), Value("NY"), Value(3)}}))
                   .ok());
   ASSERT_TRUE(
-      view->ApplyDelta(Rows(2, {Tuple{Value(1), Value("NJ"), Value(7)}})).ok());
+      view->ApplyDelta(std::vector<Tuple>({Tuple{Value(1), Value("NJ"), Value(7)}})).ok());
 
   EXPECT_EQ(view->size(), 2u);
   Tuple row = view->Lookup(Tuple{Value(1)}).value();
@@ -76,7 +70,7 @@ TEST(PersistentViewTest, ComplexityReportAttached) {
 
 TEST(PersistentViewTest, ScanVisitsFinalizedRows) {
   auto view = MinutesView();
-  ASSERT_TRUE(view->ApplyDelta(Rows(1, {Tuple{Value(1), Value("NJ"), Value(5)},
+  ASSERT_TRUE(view->ApplyDelta(std::vector<Tuple>({Tuple{Value(1), Value("NJ"), Value(5)},
                                         Tuple{Value(2), Value("NY"), Value(3)}}))
                   .ok());
   int64_t total = 0;
@@ -86,7 +80,7 @@ TEST(PersistentViewTest, ScanVisitsFinalizedRows) {
 
 TEST(PersistentViewTest, OrderedScanSortsByKey) {
   auto view = MinutesView(IndexMode::kOrdered);
-  ASSERT_TRUE(view->ApplyDelta(Rows(1, {Tuple{Value(3), Value("x"), Value(1)},
+  ASSERT_TRUE(view->ApplyDelta(std::vector<Tuple>({Tuple{Value(3), Value("x"), Value(1)},
                                         Tuple{Value(1), Value("x"), Value(1)},
                                         Tuple{Value(2), Value("x"), Value(1)}}))
                   .ok());
@@ -112,7 +106,7 @@ TEST(PersistentViewTest, ComputedColumnAppended) {
                                    std::move(computed))
                   .value();
   ASSERT_TRUE(
-      view->ApplyDelta(Rows(1, {Tuple{Value(1), Value("x"), Value(150)},
+      view->ApplyDelta(std::vector<Tuple>({Tuple{Value(1), Value("x"), Value(150)},
                                 Tuple{Value(2), Value("x"), Value(50)},
                                 Tuple{Value(3), Value("x"), Value(5)}}))
           .ok());
@@ -126,11 +120,11 @@ TEST(PersistentViewTest, DistinctProjectionViewTracksDistinctRows) {
   SummarySpec spec =
       SummarySpec::DistinctProjection(CallSchema(), {"region"}).value();
   auto view = PersistentView::Make(0, "regions", ScanCalls(), spec).value();
-  ASSERT_TRUE(view->ApplyDelta(Rows(1, {Tuple{Value(1), Value("NJ"), Value(5)},
+  ASSERT_TRUE(view->ApplyDelta(std::vector<Tuple>({Tuple{Value(1), Value("NJ"), Value(5)},
                                         Tuple{Value(2), Value("NJ"), Value(3)}}))
                   .ok());
   ASSERT_TRUE(
-      view->ApplyDelta(Rows(2, {Tuple{Value(3), Value("NY"), Value(1)}})).ok());
+      view->ApplyDelta(std::vector<Tuple>({Tuple{Value(3), Value("NY"), Value(1)}})).ok());
   EXPECT_EQ(view->size(), 2u);
   EXPECT_EQ(view->Lookup(Tuple{Value("NJ")}).value(), (Tuple{Value("NJ")}));
 }
@@ -139,7 +133,7 @@ TEST(PersistentViewTest, GlobalGroupView) {
   SummarySpec spec =
       SummarySpec::GroupBy(CallSchema(), {}, {AggSpec::Count("n")}).value();
   auto view = PersistentView::Make(0, "total", ScanCalls(), spec).value();
-  ASSERT_TRUE(view->ApplyDelta(Rows(1, {Tuple{Value(1), Value("x"), Value(1)},
+  ASSERT_TRUE(view->ApplyDelta(std::vector<Tuple>({Tuple{Value(1), Value("x"), Value(1)},
                                         Tuple{Value(2), Value("x"), Value(1)}}))
                   .ok());
   EXPECT_EQ(view->Lookup(Tuple{}).value(), (Tuple{Value(2)}));
@@ -148,7 +142,7 @@ TEST(PersistentViewTest, GlobalGroupView) {
 TEST(PersistentViewTest, MemoryFootprintGrowsWithGroups) {
   auto view = MinutesView();
   size_t empty = view->MemoryFootprint();
-  ASSERT_TRUE(view->ApplyDelta(Rows(1, {Tuple{Value(1), Value("x"), Value(1)},
+  ASSERT_TRUE(view->ApplyDelta(std::vector<Tuple>({Tuple{Value(1), Value("x"), Value(1)},
                                         Tuple{Value(2), Value("x"), Value(1)}}))
                   .ok());
   EXPECT_GT(view->MemoryFootprint(), empty);

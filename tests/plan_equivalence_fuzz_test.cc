@@ -1,14 +1,18 @@
-// Fuzz equivalence: the compiled DeltaPlan executor must be byte-identical
-// to the DeltaEngine interpreter — same rows, same order, same errors — on
-// randomized chronicle-algebra expressions. Two layers:
+// Fuzz equivalence for the compiled delta engine, triangulated three ways:
+// row-compiled vs columnar execution (byte-identical rows, same order,
+// same errors), both against the naive relational baseline, and plans
+// executed standalone vs inside one shared slot program. Two layers:
 //
 //   * Expression level: a depth-bounded random generator composes all ten
 //     legal CA operators (with schema-compatible Union/Difference operands
-//     and shared-subexpression DAGs by construction) and drives both
-//     engines over randomized append events, asserting identical
-//     ChronicleRow output tick by tick.
+//     and shared-subexpression DAGs by construction) and drives them over
+//     randomized append events into RETAIN ALL chronicles. Per tick, the
+//     row and columnar legs must agree exactly, and so must the same plan
+//     executed in a shared program after every earlier plan. Per
+//     expression, the union of the per-tick deltas must equal
+//     NaiveEngine::Evaluate over the stored chronicles (Theorem 4.1).
 //   * Database level: a mixed-shape view catalog is maintained under every
-//     routing mode x thread count x engine combination; all runs must
+//     routing mode x thread count x kernel mode combination; all runs must
 //     produce identical view contents, and within a routing mode identical
 //     MaintenanceReport counters.
 //
@@ -20,7 +24,9 @@
 #include <string>
 #include <vector>
 
-#include "algebra/delta_engine.h"
+#include <algorithm>
+
+#include "baseline/naive_engine.h"
 #include "common/random.h"
 #include "db/database.h"
 #include "exec/plan_compiler.h"
@@ -239,22 +245,35 @@ std::vector<Tuple> RandomBatch(Rng* rng, uint64_t max_tuples) {
   return out;
 }
 
-TEST(PlanEquivalenceFuzzTest, RandomExpressionsMatchInterpreterTickByTick) {
+void SortRows(std::vector<ChronicleRow>* rows) {
+  std::sort(rows->begin(), rows->end(),
+            [](const ChronicleRow& a, const ChronicleRow& b) {
+              if (a.sn != b.sn) return a.sn < b.sn;
+              return TupleCompare(a.values, b.values) < 0;
+            });
+}
+
+TEST(PlanEquivalenceFuzzTest, RandomExpressionsAgreeTickByTickAndWithBaseline) {
   const uint64_t seed = FuzzSeed(20260807);
   SCOPED_TRACE(testing::Message() << "CHRONICLE_FUZZ_SEED=" << seed);
   Rng rng(seed);
   Relation rel = MakeCust(&rng);
   ExprGen gen(&rng, &rel);
 
-  DeltaEngine engine;
-  // ONE scratch per engine across all expressions and ticks: this is
-  // exactly the reuse pattern ViewManager relies on, so stale state in any
+  // ONE scratch per leg across all expressions and ticks: this is exactly
+  // the reuse pattern ViewManager relies on, so stale state in any
   // retained buffer would surface here as a cross-expression mismatch.
-  // Triangulation: interpreter vs row-compiled vs columnar — the scratch
-  // toggle is the only difference between the two compiled legs.
+  // The scratch toggle is the only difference between the row and
+  // columnar legs.
   exec::PlanScratch scratch;  // columnar (the default)
   exec::PlanScratch row_scratch;
   row_scratch.set_columnar_enabled(false);
+  // Shared leg: every expression also joins one growing program (the
+  // generator reuses its two scan nodes, so slots are shared across
+  // plans), and each tick executes all of them in one scratch tick.
+  exec::PlanCompiler shared_compiler;
+  std::vector<exec::DeltaPlanPtr> shared_plans;
+  exec::PlanScratch shared_scratch;
 
   for (int round = 0; round < 48; ++round) {
     SCOPED_TRACE(testing::Message() << "round=" << round);
@@ -262,59 +281,92 @@ TEST(PlanEquivalenceFuzzTest, RandomExpressionsMatchInterpreterTickByTick) {
     SCOPED_TRACE(testing::Message() << "expr=\n" << expr->ToString());
     Result<exec::DeltaPlanPtr> plan = exec::CompileDeltaPlan(expr);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    Result<exec::DeltaPlanPtr> shared_plan = shared_compiler.Compile(expr);
+    ASSERT_TRUE(shared_plan.ok()) << shared_plan.status().ToString();
+    shared_plans.push_back(shared_plan.value());
 
-    for (SeqNum sn = 1; sn <= 10; ++sn) {
-      SCOPED_TRACE(testing::Message() << "sn=" << sn);
-      AppendEvent event;
-      event.sn = sn;
-      event.chronon = static_cast<Chronon>(sn);
-      event.inserts.emplace_back(0, RandomBatch(&rng, 4));
+    // A fresh RETAIN ALL group per expression: the naive baseline
+    // re-evaluates the expression over everything it stored.
+    ChronicleGroup group;
+    ASSERT_TRUE(group.CreateChronicle("calls", CallSchema()).ok());
+    ASSERT_TRUE(group.CreateChronicle("calls_b", CallSchema()).ok());
+    std::vector<ChronicleRow> accumulated;
+    bool failed = false;
+
+    for (int tick = 1; tick <= 10; ++tick) {
+      SCOPED_TRACE(testing::Message() << "tick=" << tick);
+      // The group stores only non-empty batches (and no empty ticks).
+      std::vector<std::pair<ChronicleId, std::vector<Tuple>>> inserts;
+      std::vector<Tuple> batch_a = RandomBatch(&rng, 4);
+      if (!batch_a.empty()) inserts.emplace_back(0, std::move(batch_a));
       if (rng.Bernoulli(0.7)) {
-        event.inserts.emplace_back(1, RandomBatch(&rng, 3));
+        std::vector<Tuple> batch_b = RandomBatch(&rng, 3);
+        if (!batch_b.empty()) inserts.emplace_back(1, std::move(batch_b));
       }
+      if (inserts.empty()) continue;
+      Result<AppendEvent> appended =
+          group.AppendMulti(std::move(inserts), static_cast<Chronon>(tick));
+      ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+      const AppendEvent& event = appended.value();
 
-      Result<std::vector<ChronicleRow>> interpreted =
-          engine.ComputeDelta(*expr, event, nullptr, nullptr);
-      // Row-compiled leg first (it shares nothing with the columnar
-      // scratch), then the columnar leg; its rows stay valid until that
-      // scratch's next execution.
+      // Row leg first, then columnar; each leg's rows stay valid until
+      // that scratch's next execution.
       Result<const std::vector<ChronicleRow>*> row_compiled =
           plan.value()->ExecuteToRows(event, &row_scratch, nullptr);
       Result<const std::vector<ChronicleRow>*> compiled =
           plan.value()->ExecuteToRows(event, &scratch, nullptr);
-      ASSERT_EQ(interpreted.ok(), compiled.ok())
-          << (interpreted.ok() ? compiled.status().ToString()
-                               : interpreted.status().ToString());
-      ASSERT_EQ(interpreted.ok(), row_compiled.ok())
-          << (interpreted.ok() ? row_compiled.status().ToString()
-                               : interpreted.status().ToString());
-      if (!interpreted.ok()) {
-        EXPECT_EQ(interpreted.status().message(),
+      shared_scratch.BeginTick();
+      for (size_t p = 0; p + 1 < shared_plans.size(); ++p) {
+        // Earlier plans fill the shared slots first; their own results
+        // (and errors) were checked in their rounds.
+        (void)shared_plans[p]->ExecuteInTick(event, &shared_scratch, nullptr);
+      }
+      Result<const std::vector<Tuple>*> shared =
+          shared_plans.back()->ExecuteInTick(event, &shared_scratch, nullptr);
+      ASSERT_EQ(row_compiled.ok(), compiled.ok())
+          << (row_compiled.ok() ? compiled.status().ToString()
+                                : row_compiled.status().ToString());
+      ASSERT_EQ(row_compiled.ok(), shared.ok())
+          << (row_compiled.ok() ? shared.status().ToString()
+                                : row_compiled.status().ToString());
+      if (!row_compiled.ok()) {
+        EXPECT_EQ(row_compiled.status().message(),
                   compiled.status().message());
-        EXPECT_EQ(interpreted.status().message(),
-                  row_compiled.status().message());
+        EXPECT_EQ(row_compiled.status().message(), shared.status().message());
+        failed = true;
         continue;
       }
       const std::vector<ChronicleRow>& rows = *compiled.value();
       const std::vector<ChronicleRow>& row_rows = *row_compiled.value();
-      ASSERT_EQ(interpreted.value().size(), rows.size());
-      ASSERT_EQ(interpreted.value().size(), row_rows.size());
+      const std::vector<Tuple>& shared_rows = *shared.value();
+      ASSERT_EQ(row_rows.size(), rows.size());
+      ASSERT_EQ(row_rows.size(), shared_rows.size());
       for (size_t i = 0; i < rows.size(); ++i) {
-        EXPECT_EQ(interpreted.value()[i], rows[i])
-            << "row " << i << ": interpreter "
-            << ChronicleRowToString(interpreted.value()[i]) << " vs columnar "
+        EXPECT_EQ(row_rows[i], rows[i])
+            << "row " << i << ": row-compiled "
+            << ChronicleRowToString(row_rows[i]) << " vs columnar "
             << ChronicleRowToString(rows[i]);
-        EXPECT_EQ(interpreted.value()[i], row_rows[i])
-            << "row " << i << ": interpreter "
-            << ChronicleRowToString(interpreted.value()[i])
-            << " vs row-compiled " << ChronicleRowToString(row_rows[i]);
+        EXPECT_EQ(row_rows[i].values, shared_rows[i])
+            << "row " << i << ": standalone "
+            << ChronicleRowToString(row_rows[i]) << " vs shared program "
+            << TupleToString(shared_rows[i]);
       }
+      accumulated.insert(accumulated.end(), row_rows.begin(), row_rows.end());
     }
+
+    if (failed) continue;  // the baseline has no per-tick error surface
+    NaiveEngine baseline(&group);
+    Result<std::vector<ChronicleRow>> expected = baseline.Evaluate(*expr);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    std::vector<ChronicleRow> want = std::move(expected).value();
+    SortRows(&want);
+    SortRows(&accumulated);
+    EXPECT_EQ(accumulated, want);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Database level: routing modes x thread counts x engines.
+// Database level: routing modes x thread counts x kernel modes.
 
 void ApplyDdl(ChronicleDatabase* db) {
   ASSERT_TRUE(
@@ -397,7 +449,7 @@ RunResult DriveWorkload(ChronicleDatabase* db, uint64_t seed) {
   return result;
 }
 
-TEST(PlanEquivalenceFuzzTest, DatabaseAgreesAcrossModesThreadsAndEngines) {
+TEST(PlanEquivalenceFuzzTest, DatabaseAgreesAcrossModesThreadsAndKernels) {
   const uint64_t seed = FuzzSeed(424242);
   SCOPED_TRACE(testing::Message() << "CHRONICLE_FUZZ_SEED=" << seed);
 
@@ -405,34 +457,32 @@ TEST(PlanEquivalenceFuzzTest, DatabaseAgreesAcrossModesThreadsAndEngines) {
                                 RoutingMode::kEqIndex};
   std::vector<RunResult> per_mode_reference;
   for (RoutingMode mode : kModes) {
-    // Reference for this mode: serial interpreter.
+    // Reference for this mode: serial, row kernels.
     ChronicleDatabase reference_db(mode);
     ApplyDdl(&reference_db);
-    MaintenanceOptions interpreted;
-    interpreted.num_threads = 1;
-    interpreted.use_compiled_plans = false;
-    reference_db.ReconfigureMaintenance(interpreted);
+    MaintenanceOptions row;
+    row.num_threads = 1;
+    row.use_columnar_kernels = false;
+    reference_db.ReconfigureMaintenance(row);
     RunResult reference = DriveWorkload(&reference_db, seed);
 
     for (size_t threads : {1u, 2u, 8u}) {
-      // 0 = interpreter, 1 = row-compiled, 2 = columnar.
-      for (int eng : {0, 1, 2}) {
-        if (threads == 1 && eng == 0) continue;  // that IS the reference
+      for (bool columnar : {false, true}) {
+        if (threads == 1 && !columnar) continue;  // that IS the reference
         SCOPED_TRACE(testing::Message()
                      << "mode=" << static_cast<int>(mode)
-                     << " threads=" << threads << " engine=" << eng);
+                     << " threads=" << threads << " columnar=" << columnar);
         ChronicleDatabase db(mode);
         ApplyDdl(&db);
         MaintenanceOptions options;
         options.num_threads = threads;
         options.min_views_per_task = 1;
-        options.use_compiled_plans = eng != 0;
-        options.use_columnar_kernels = eng == 2;
+        options.use_columnar_kernels = columnar;
         db.ReconfigureMaintenance(options);
         RunResult run = DriveWorkload(&db, seed);
 
         // Within a mode, the routing decisions — and so every report
-        // counter — must be engine- and thread-independent.
+        // counter — must be kernel- and thread-independent.
         ASSERT_EQ(reference.reports.size(), run.reports.size());
         for (size_t i = 0; i < run.reports.size(); ++i) {
           EXPECT_EQ(reference.reports[i].views_considered,

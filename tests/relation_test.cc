@@ -78,7 +78,9 @@ TEST_P(RelationModeTest, SwapRemoveKeepsIndexConsistent) {
   Relation rel =
       Relation::Make("cust", CustSchema(), "acct", GetParam()).value();
   for (int64_t i = 0; i < 50; ++i) {
-    ASSERT_TRUE(rel.Insert(Cust(i, "n" + std::to_string(i), "NJ")).ok());
+    std::string name = "n";
+    name += std::to_string(i);
+    ASSERT_TRUE(rel.Insert(Cust(i, name, "NJ")).ok());
   }
   // Delete in a scattered order, checking every survivor after each delete.
   for (int64_t victim : {0, 25, 49, 10, 1, 48}) {

@@ -8,6 +8,7 @@
 #include <fstream>
 
 #include "store/segment.h"
+#include "wal/wal_file.h"
 
 namespace chronicle {
 namespace store {
@@ -38,7 +39,7 @@ std::string WriteSegment(const std::string& dir,
   for (const ChronicleRow& row : rows) enc.Add(row);
   const std::string path =
       (fs::path(dir) / SegmentFileName(enc.first_sn())).string();
-  EXPECT_TRUE(AtomicWriteSegment(path, enc.Finish()).ok());
+  EXPECT_TRUE(wal::AtomicWriteFile(path, enc.Finish()).ok());
   return path;
 }
 
@@ -173,7 +174,7 @@ TEST(SegmentOpen, BadMagicFailsClosed) {
     data.assign(std::istreambuf_iterator<char>(in), {});
   }
   data[0] = 'X';
-  ASSERT_TRUE(AtomicWriteSegment(path, data).ok());
+  ASSERT_TRUE(wal::AtomicWriteFile(path, data).ok());
   auto reader = SegmentReader::Open(path);
   EXPECT_FALSE(reader.ok());
 }

@@ -146,7 +146,8 @@ TEST(StoreRecovery, KillMidSegmentLeavesTempAndConverges) {
   ScratchDir crash("midseg"), clean("midseg_ref");
   const int kSteps = 40;
   RunAndCrash(crash, kSteps);
-  // Simulate dying inside AtomicWriteSegment: a partial temp file survives.
+  // Simulate dying inside wal::AtomicWriteFile: a partial temp file
+  // survives.
   {
     std::ofstream tmp(crash.store_dir() + "/calls/seg-000.tmp",
                       std::ios::binary);

@@ -52,9 +52,9 @@ ChronicleId SetUpTiered(ChronicleGroup* group, TieredStore* store,
   Chronicle* chron = group->GetChronicle(id).value();
   chron->AttachTierSink(store, options.segment_rows);
   for (int i = 1; i <= n; ++i) {
-    EXPECT_TRUE(
-        group->Append(id, {Tuple{Value(i), Value("v" + std::to_string(i))}})
-            .ok());
+    std::string label = "v";
+    label += std::to_string(i);
+    EXPECT_TRUE(group->Append(id, {Tuple{Value(i), Value(label)}}).ok());
   }
   return id;
 }

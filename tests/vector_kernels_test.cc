@@ -338,7 +338,9 @@ TEST(VecRelKeyJoinTest, NumericProbesAndNullKeys) {
   // String join keys stay on the row engine (whether or not the factory
   // admits the expression at all).
   Result<CaExprPtr> sjoin = CaExpr::RelKeyJoin(scan, &rel, "region");
-  if (sjoin.ok()) EXPECT_EQ(PlanVectorInstr(*sjoin.value()), nullptr);
+  if (sjoin.ok()) {
+    EXPECT_EQ(PlanVectorInstr(*sjoin.value()), nullptr);
+  }
 }
 
 TEST(TransposeTest, TypeMismatchFails) {

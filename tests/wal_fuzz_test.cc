@@ -68,7 +68,9 @@ WalRecord RandomRecord(Rng* rng) {
         std::vector<Tuple> tuples;
         const size_t n = rng->Uniform(3);
         for (size_t j = 0; j < n; ++j) tuples.push_back(RandomTuple(rng));
-        inserts.emplace_back("c" + std::to_string(i), std::move(tuples));
+        std::string name = "c";
+        name += std::to_string(i);
+        inserts.emplace_back(std::move(name), std::move(tuples));
       }
       return WalRecord::MakeAppend(rng->Uniform(1 << 16),
                                    static_cast<Chronon>(rng->Uniform(1 << 16)),
@@ -238,7 +240,9 @@ TEST(WalFuzzTest, GarbageSegmentFilesNeverCrashReplay) {
     // Garbage can never decode into applied records (the CRC gate), and
     // must never crash; both clean-tail and DataLoss outcomes are fine.
     EXPECT_EQ(applied, 0u);
-    if (!st.ok()) EXPECT_TRUE(st.IsDataLoss());
+    if (!st.ok()) {
+      EXPECT_TRUE(st.IsDataLoss());
+    }
   }
 }
 

@@ -177,16 +177,17 @@ int CheckViewAgainst(const std::vector<Tuple>& view, const AggMap& recomputed,
   for (const auto& [caller, agg] : recomputed) {
     auto it = maintained.find(caller);
     if (it != maintained.end() && it->second == agg) continue;
+    std::string shown_agg = "<absent>";
+    if (it != maintained.end()) {
+      shown_agg = "(";
+      shown_agg.append(std::to_string(it->second.first)).append(",");
+      shown_agg.append(std::to_string(it->second.second)).append(")");
+    }
     std::fprintf(stderr,
                  "  caller=%lld recomputed=(%lld,%lld) maintained=%s\n",
                  static_cast<long long>(caller),
                  static_cast<long long>(agg.first),
-                 static_cast<long long>(agg.second),
-                 it == maintained.end()
-                     ? "<absent>"
-                     : ("(" + std::to_string(it->second.first) + "," +
-                        std::to_string(it->second.second) + ")")
-                           .c_str());
+                 static_cast<long long>(agg.second), shown_agg.c_str());
     if (++shown == 8) break;
   }
   return 1;
