@@ -69,6 +69,27 @@ void Writer::WriteVarint(uint64_t v) {
   buffer_.push_back(static_cast<char>(v));
 }
 
+size_t Writer::TupleBytes(const Tuple& t) {
+  size_t bytes = 4 + t.size();  // arity + one tag per value
+  for (const Value& v : t) {
+    if (v.is_int64() || v.is_double()) {
+      bytes += 8;
+    } else if (v.is_string()) {
+      bytes += 4 + v.str().size();
+    }
+  }
+  return bytes;
+}
+
+size_t Writer::VarintBytes(uint64_t v) {
+  size_t bytes = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++bytes;
+  }
+  return bytes;
+}
+
 Status Reader::Need(size_t bytes) const {
   if (pos_ + bytes > data_.size()) {
     return Status::ParseError("checkpoint truncated: need " +
@@ -165,6 +186,32 @@ Result<Tuple> Reader::ReadTuple() {
     t.push_back(std::move(v));
   }
   return t;
+}
+
+Status Reader::SkipTuple() {
+  CHRONICLE_ASSIGN_OR_RETURN(uint32_t arity, ReadU32());
+  for (uint32_t i = 0; i < arity; ++i) {
+    CHRONICLE_ASSIGN_OR_RETURN(uint8_t tag, ReadU8());
+    switch (tag) {
+      case kTagNull:
+        break;
+      case kTagInt64:
+      case kTagDouble:
+        CHRONICLE_RETURN_NOT_OK(Need(8));
+        pos_ += 8;
+        break;
+      case kTagString: {
+        CHRONICLE_ASSIGN_OR_RETURN(uint32_t size, ReadU32());
+        CHRONICLE_RETURN_NOT_OK(Need(size));
+        pos_ += size;
+        break;
+      }
+      default:
+        return Status::ParseError("bad value tag " + std::to_string(tag) +
+                                  " in checkpoint");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace checkpoint

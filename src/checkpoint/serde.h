@@ -41,6 +41,11 @@ class Writer {
   // delta-encoded sequence numbers (the segment store's row headers).
   void WriteVarint(uint64_t v);
 
+  // Exact bytes WriteTuple / WriteVarint append, for callers that reserve
+  // one buffer up front.
+  static size_t TupleBytes(const Tuple& t);
+  static size_t VarintBytes(uint64_t v);
+
  private:
   std::string buffer_;
 };
@@ -74,6 +79,9 @@ class Reader {
   Result<Value> ReadValue();
   Result<Tuple> ReadTuple();
   Result<uint64_t> ReadVarint();
+  // Advances past one tuple, applying exactly ReadTuple's checks (arity,
+  // value tags, bounds) without materializing any value.
+  Status SkipTuple();
 
  private:
   explicit Reader(std::string_view data) : data_(data) {}

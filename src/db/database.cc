@@ -581,6 +581,7 @@ obs::StatsSnapshot ChronicleDatabase::CollectStatsLocked() const {
     snap.storage.rows_evicted = counters.rows_evicted;
     snap.storage.bytes_written = counters.bytes_written;
     snap.storage.seal_failures = counters.seal_failures;
+    snap.storage.seal_latency = counters.seal_latency;
     snap.storage.backfill_views = backfill_views_;
     snap.storage.backfill_rows = backfill_rows_;
     for (ChronicleId id = 0; id < group_.num_chronicles(); ++id) {

@@ -343,6 +343,9 @@ std::string RenderText(const StatsSnapshot& snapshot) {
             "  rows sealed=%" PRIu64 " evicted=%" PRIu64
             " bytes_written=%" PRIu64 "\n",
             s.rows_sealed, s.rows_evicted, s.bytes_written);
+    if (s.seal_latency.count() > 0) {
+      Appendf(&out, "  seal latency %s\n", s.seal_latency.ToString().c_str());
+    }
     if (s.backfill_views > 0) {
       Appendf(&out, "  backfill: %" PRIu64 " views, %" PRIu64 " rows\n",
               s.backfill_views, s.backfill_rows);
@@ -521,6 +524,10 @@ std::string RenderPrometheus(const StatsSnapshot& snapshot) {
                 "Views registered with historical backfill", s.backfill_views);
     PromCounter(&out, "chronicle_storage_backfill_rows_total",
                 "Rows replayed into late-registered views", s.backfill_rows);
+    Appendf(&out,
+            "# HELP chronicle_storage_seal_ns Wall time to seal one segment\n"
+            "# TYPE chronicle_storage_seal_ns histogram\n");
+    PromHistogram(&out, "chronicle_storage_seal_ns", "", s.seal_latency);
     if (!s.chronicles.empty()) {
       struct Field {
         const char* metric;
@@ -807,11 +814,13 @@ std::string RenderJson(const StatsSnapshot& snapshot) {
             ",\"segments_quarantined\":%" PRIu64 ",\"rows_sealed\":%" PRIu64
             ",\"rows_evicted\":%" PRIu64 ",\"bytes_written\":%" PRIu64
             ",\"seal_failures\":%" PRIu64 ",\"backfill_views\":%" PRIu64
-            ",\"backfill_rows\":%" PRIu64 ",\"chronicles\":[",
+            ",\"backfill_rows\":%" PRIu64 ",\"seal_latency\":",
             Escape(s.data_dir).c_str(), s.segments_sealed, s.segments_evicted,
             s.segments_quarantined, s.rows_sealed, s.rows_evicted,
             s.bytes_written, s.seal_failures, s.backfill_views,
             s.backfill_rows);
+    JsonHistogram(&out, s.seal_latency);
+    out += ",\"chronicles\":[";
     for (size_t i = 0; i < s.chronicles.size(); ++i) {
       const ChronicleTierSnapshot& c = s.chronicles[i];
       if (i > 0) out += ",";

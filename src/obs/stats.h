@@ -145,6 +145,8 @@ struct StorageStatsSnapshot {
   uint64_t rows_evicted = 0;
   uint64_t bytes_written = 0;
   uint64_t seal_failures = 0;
+  // Per-segment seal wall time (store::StoreCounters::seal_latency).
+  LatencyHistogram seal_latency;
   // Late-view backfill totals (db-level; the per-event metrics live in the
   // registry as backfill_events_total / backfill_rows_total).
   uint64_t backfill_views = 0;

@@ -720,6 +720,7 @@ obs::StatsSnapshot ShardedDatabase::CollectStats() const {
       merged.storage.rows_evicted += snap.storage.rows_evicted;
       merged.storage.bytes_written += snap.storage.bytes_written;
       merged.storage.seal_failures += snap.storage.seal_failures;
+      merged.storage.seal_latency.Merge(snap.storage.seal_latency);
       merged.storage.backfill_views += snap.storage.backfill_views;
       merged.storage.backfill_rows += snap.storage.backfill_rows;
       for (obs::ChronicleTierSnapshot& tier : snap.storage.chronicles) {

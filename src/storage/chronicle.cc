@@ -66,8 +66,7 @@ void Chronicle::MaybeSealTier() {
     while (count < rows_.size() && rows_[count - 1].sn == rows_[count].sn) {
       ++count;
     }
-    std::vector<ChronicleRow> batch(rows_.begin(), rows_.begin() + count);
-    if (!sink_->SealRows(id_, batch).ok()) return;
+    if (!sink_->SealRows(id_, rows_, count).ok()) return;
     for (size_t i = 0; i < count; ++i) {
       meter_.Sub(ApproxTupleBytes(rows_.front().values));
       rows_.pop_front();

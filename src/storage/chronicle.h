@@ -57,11 +57,12 @@ class TierSink {
  public:
   virtual ~TierSink() = default;
 
-  // Durably persists `rows` (a contiguous, oldest-first slice of the
-  // chronicle; never splits a sequence number). On OK the rows may be
-  // dropped from memory; on error the caller must keep them hot.
-  virtual Status SealRows(ChronicleId id,
-                          const std::vector<ChronicleRow>& rows) = 0;
+  // Durably persists the oldest `count` rows of the hot window `rows`
+  // (read in place, never copied; the cut never splits a sequence number).
+  // On OK the caller may drop those rows from memory; on error it must
+  // keep them hot.
+  virtual Status SealRows(ChronicleId id, const std::deque<ChronicleRow>& rows,
+                          size_t count) = 0;
   // Highest sequence number durably sealed for `id`; 0 if none. Appends at
   // or below this SN are already in the warm tier (recovery replay).
   virtual SeqNum last_sealed_sn(ChronicleId id) const = 0;

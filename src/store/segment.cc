@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include "checkpoint/serde.h"
 #include "common/crc32.h"
 
 namespace chronicle {
@@ -46,23 +45,36 @@ std::string SegmentFileName(SeqNum base_sn) {
 }
 
 SegmentEncoder::SegmentEncoder(uint32_t chronicle_id)
-    : chronicle_id_(chronicle_id) {}
+    : chronicle_id_(chronicle_id) {
+  // Placeholder header; Finish overwrites it in place.
+  for (size_t i = 0; i < kSegmentHeaderBytes / sizeof(uint64_t); ++i) {
+    image_.WriteU64(0);
+  }
+}
+
+void SegmentEncoder::Reserve(size_t payload_bytes) {
+  image_.Reserve(kSegmentHeaderBytes + payload_bytes);
+}
+
+size_t SegmentEncoder::RowBytes(const ChronicleRow& row, SeqNum prev_sn) {
+  return checkpoint::Writer::VarintBytes(row.sn - prev_sn) +
+         checkpoint::Writer::TupleBytes(row.values);
+}
 
 void SegmentEncoder::Add(const ChronicleRow& row) {
   if (rows_ == 0) {
     first_sn_ = row.sn;
     last_sn_ = row.sn;
   }
-  checkpoint::Writer w;
-  w.Reserve(16 + row.values.size() * 12);
-  w.WriteVarint(row.sn - last_sn_);
-  w.WriteTuple(row.values);
-  payload_.append(w.buffer());
+  image_.WriteVarint(row.sn - last_sn_);
+  image_.WriteTuple(row.values);
   last_sn_ = row.sn;
   ++rows_;
 }
 
-size_t SegmentEncoder::payload_bytes() const { return payload_.size(); }
+size_t SegmentEncoder::payload_bytes() const {
+  return image_.buffer().size() - kSegmentHeaderBytes;
+}
 
 std::string SegmentEncoder::Finish() {
   SegmentHeader h;
@@ -70,21 +82,17 @@ std::string SegmentEncoder::Finish() {
   h.row_count = rows_;
   h.base_sn = first_sn_;
   h.last_sn = last_sn_;
-  h.payload_bytes = static_cast<uint32_t>(payload_.size());
+  h.payload_bytes = static_cast<uint32_t>(payload_bytes());
+  std::string image = image_.release();
   // The CRC covers every header byte before the CRC field itself, then the
   // payload — so a flip anywhere in the file fails closed at Open.
-  char header[kSegmentHeaderBytes];
   h.payload_crc = 0;
-  EncodeHeader(h, header);
-  uint32_t crc = Crc32c(header, kSegmentHeaderBytes - sizeof(uint32_t));
-  crc = Crc32cExtend(crc, payload_.data(), payload_.size());
+  EncodeHeader(h, image.data());
+  uint32_t crc = Crc32c(image.data(), kSegmentHeaderBytes - sizeof(uint32_t));
+  crc = Crc32cExtend(crc, image.data() + kSegmentHeaderBytes,
+                     image.size() - kSegmentHeaderBytes);
   h.payload_crc = crc;
-  EncodeHeader(h, header);
-  std::string image;
-  image.reserve(kSegmentHeaderBytes + payload_.size());
-  image.append(header, kSegmentHeaderBytes);
-  image.append(payload_);
-  payload_.clear();
+  EncodeHeader(h, image.data());
   rows_ = 0;
   return image;
 }
@@ -161,25 +169,33 @@ Result<std::unique_ptr<SegmentReader>> SegmentReader::Open(
   if (header.row_count == 0) {
     return Status::DataLoss("segment " + path + " has zero rows");
   }
-  // One full decode pass: proves every row is readable and the header's
-  // row count and SN range are consistent with the payload.
-  Cursor cursor(reader.get());
-  ChronicleRow row;
-  uint32_t decoded = 0;
+  // One full pass: proves every row decodes and the header's row count
+  // and SN range are consistent with the payload. SkipTuple applies
+  // ReadTuple's checks without building the tuples.
+  checkpoint::Reader r = checkpoint::Reader::Borrowed(payload);
   SeqNum prev = header.base_sn;
-  while (true) {
-    CHRONICLE_ASSIGN_OR_RETURN(bool more, cursor.Next(&row));
-    if (!more) break;
-    if (row.sn < prev) {
+  for (uint32_t row = 0; row < header.row_count; ++row) {
+    if (r.AtEnd()) {
+      return Status::DataLoss("segment " + path + " payload ends before row " +
+                              std::to_string(row));
+    }
+    CHRONICLE_ASSIGN_OR_RETURN(uint64_t delta, r.ReadVarint());
+    CHRONICLE_RETURN_NOT_OK(r.SkipTuple());
+    // A delta that wraps the SN space reads as a decrease.
+    const SeqNum sn = prev + delta;
+    if (sn < prev) {
       return Status::DataLoss("segment " + path + " has decreasing SNs");
     }
-    prev = row.sn;
-    ++decoded;
+    prev = sn;
   }
-  if (decoded != header.row_count || prev != header.last_sn) {
+  if (prev != header.last_sn) {
     return Status::DataLoss("segment " + path +
                             " payload disagrees with header");
   }
+  // Validation touched every page; hand them back. The private read-only
+  // mapping has no dirty pages, so later scans fault them in again from
+  // the page cache.
+  ::madvise(map, size, MADV_DONTNEED);
   return reader;
 }
 

@@ -28,6 +28,7 @@
 #include <string_view>
 #include <vector>
 
+#include "checkpoint/serde.h"
 #include "common/status.h"
 #include "storage/chronicle.h"
 #include "types/tuple.h"
@@ -56,12 +57,20 @@ struct SegmentHeader {
 std::string SegmentFileName(SeqNum base_sn);
 
 // Incrementally encodes one segment image. Rows must arrive oldest first
-// with non-decreasing sequence numbers.
+// with non-decreasing sequence numbers. Every row is appended straight into
+// the image buffer behind a placeholder header, which Finish fills in, so
+// the payload is written once and never copied.
 class SegmentEncoder {
  public:
   explicit SegmentEncoder(uint32_t chronicle_id);
 
+  // Pre-sizes the image for `payload_bytes` of rows (see RowBytes).
+  void Reserve(size_t payload_bytes);
   void Add(const ChronicleRow& row);
+
+  // Exact payload bytes Add appends for `row` when the previous row's SN
+  // is `prev_sn` (the first row's delta is 0).
+  static size_t RowBytes(const ChronicleRow& row, SeqNum prev_sn);
 
   uint32_t rows() const { return rows_; }
   size_t payload_bytes() const;
@@ -77,12 +86,15 @@ class SegmentEncoder {
   uint32_t rows_ = 0;
   SeqNum first_sn_ = 0;
   SeqNum last_sn_ = 0;
-  std::string payload_;
+  checkpoint::Writer image_;
 };
 
 // An mmap-backed, fully validated segment. Open() checks magic, version,
-// CRC, and decodes every row once (verifying counts and SN monotonicity);
-// after a successful Open the accessors and Scan cannot fail.
+// size and CRC, and walks every row once (verifying that each decodes, the
+// row count, and SN monotonicity); after a successful Open the accessors
+// and Scan cannot fail. Open then releases the validated pages from the
+// process (they stay in the page cache), so a sealed segment costs no
+// resident memory until a scan faults its pages back in.
 class SegmentReader {
  public:
   ~SegmentReader();

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <utility>
 
+#include "common/stopwatch.h"
 #include "wal/wal_file.h"
 
 namespace chronicle {
@@ -123,14 +124,18 @@ Status TieredStore::AttachChronicle(ChronicleId id, const std::string& name) {
 }
 
 Status TieredStore::SealOne(ChronicleTier& tier, ChronicleId id,
-                            const std::vector<ChronicleRow>& rows,
+                            const std::deque<ChronicleRow>& rows,
                             size_t begin, size_t end) {
   SegmentEncoder encoder(id);
   uint64_t raw = 0;
+  size_t payload = 0;
   for (size_t i = begin; i < end; ++i) {
-    encoder.Add(rows[i]);
+    const SeqNum prev_sn = i == begin ? rows[i].sn : rows[i - 1].sn;
+    payload += SegmentEncoder::RowBytes(rows[i], prev_sn);
     raw += ApproxRowBytes(rows[i]);
   }
+  encoder.Reserve(payload);
+  for (size_t i = begin; i < end; ++i) encoder.Add(rows[i]);
   const SeqNum base = encoder.first_sn();
   const SeqNum last = encoder.last_sn();
   const uint32_t count = encoder.rows();
@@ -159,8 +164,9 @@ Status TieredStore::SealOne(ChronicleTier& tier, ChronicleId id,
 }
 
 Status TieredStore::SealRows(ChronicleId id,
-                             const std::vector<ChronicleRow>& rows) {
-  if (rows.empty()) return Status::OK();
+                             const std::deque<ChronicleRow>& rows,
+                             size_t count) {
+  if (count == 0) return Status::OK();
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = tiers_.find(id);
   if (it == tiers_.end()) {
@@ -168,6 +174,7 @@ Status TieredStore::SealRows(ChronicleId id,
                                       " is not attached to the store");
   }
   ChronicleTier& tier = it->second;
+  Stopwatch seal_watch;  // the barrier counts toward the first segment
   if (pre_seal_barrier_ != nullptr) {
     Status barrier = pre_seal_barrier_();
     if (!barrier.ok()) {
@@ -181,8 +188,8 @@ Status TieredStore::SealRows(ChronicleId id,
   // which is what makes crash recovery converge on the same segments.
   size_t begin = 0;
   size_t encoded = 0;
-  for (size_t i = 0; i <= rows.size(); ++i) {
-    const bool at_end = i == rows.size();
+  for (size_t i = 0; i <= count; ++i) {
+    const bool at_end = i == count;
     const bool full = at_end || (i - begin) >= options_.segment_rows ||
                       encoded >= options_.segment_bytes;
     if (full && i > begin && (at_end || rows[i].sn != rows[i - 1].sn)) {
@@ -192,6 +199,8 @@ Status TieredStore::SealRows(ChronicleId id,
         if (metrics_ != nullptr) metrics_->Count(ids_.seal_failures, 1);
         return s;
       }
+      counters_.seal_latency.Record(seal_watch.ElapsedNanos());
+      seal_watch.Start();
       begin = i;
       encoded = 0;
     }

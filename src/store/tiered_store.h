@@ -24,6 +24,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -32,6 +33,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/histogram.h"
 #include "common/status.h"
 #include "obs/metrics.h"
 #include "storage/chronicle.h"
@@ -65,6 +67,10 @@ struct StoreCounters {
   uint64_t rows_evicted = 0;
   uint64_t bytes_written = 0;  // compressed bytes appended to the warm tier
   uint64_t seal_failures = 0;
+  // Wall time of each sealed segment (encode, write, fsyncs, validating
+  // reopen; the first segment of a SealRows call also carries the WAL
+  // barrier): the `storage_seal_ns` ledger entry, one sample per segment.
+  LatencyHistogram seal_latency;
 };
 
 // Pre-resolved registry ids for the storage metric catalog. Registered by
@@ -102,8 +108,8 @@ class TieredStore : public TierSink {
   Status AttachChronicle(ChronicleId id, const std::string& name);
 
   // TierSink:
-  Status SealRows(ChronicleId id,
-                  const std::vector<ChronicleRow>& rows) override;
+  Status SealRows(ChronicleId id, const std::deque<ChronicleRow>& rows,
+                  size_t count) override;
   SeqNum last_sealed_sn(ChronicleId id) const override;
   uint64_t WarmRows(ChronicleId id) const override;
   Status ScanWarm(
@@ -167,7 +173,7 @@ class TieredStore : public TierSink {
 
   // Seals one encoder's worth of rows [begin, end) as a single segment.
   Status SealOne(ChronicleTier& tier, ChronicleId id,
-                 const std::vector<ChronicleRow>& rows, size_t begin,
+                 const std::deque<ChronicleRow>& rows, size_t begin,
                  size_t end);
   void EnforceBudget(ChronicleTier& tier);
 

@@ -7,6 +7,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "checkpoint/serde.h"
+#include "common/crc32.h"
 #include "store/segment.h"
 #include "wal/wal_file.h"
 
@@ -115,6 +117,23 @@ TEST(SegmentRoundTrip, DenseSnsCostOneByteEach) {
   EXPECT_LE(enc.payload_bytes(), kRows * (tuple_bytes + 1));
 }
 
+// Pins the on-disk format: these rows must encode to exactly the image the
+// format has always produced (header layout, SN deltas, value tags, CRC
+// coverage). A change here is a format change and needs a version bump.
+TEST(SegmentEncoder, GoldenImageIsStable) {
+  SegmentEncoder enc(11);
+  enc.Add(ChronicleRow{3, Tuple{Value(int64_t{-7}), Value("NJ"), Value()}});
+  enc.Add(ChronicleRow{3, Tuple{Value(int64_t{0}), Value(""), Value(2.5)}});
+  enc.Add(ChronicleRow{4, Tuple{Value(int64_t{1} << 40), Value("toll-free"),
+                                Value(-0.125)}});
+  enc.Add(ChronicleRow{300, Tuple{}});
+  enc.Add(ChronicleRow{(1ull << 35) + 3,
+                       Tuple{Value(std::string(200, 'x')), Value()}});
+  const std::string image = enc.Finish();
+  EXPECT_EQ(image.size(), 348u);
+  EXPECT_EQ(Crc32c(image), 0x7EAB9239u);
+}
+
 TEST(SegmentCursor, PullIterationMatchesScan) {
   ScratchDir dir("cursor");
   std::vector<ChronicleRow> rows;
@@ -177,6 +196,47 @@ TEST(SegmentOpen, BadMagicFailsClosed) {
   ASSERT_TRUE(wal::AtomicWriteFile(path, data).ok());
   auto reader = SegmentReader::Open(path);
   EXPECT_FALSE(reader.ok());
+}
+
+// A segment image assembled field by field (not through SegmentEncoder),
+// so tests can state SN deltas the encoder would never produce.
+std::string HandBuiltSegment(SeqNum base_sn, SeqNum last_sn,
+                             const std::vector<uint64_t>& sn_deltas) {
+  checkpoint::Writer payload;
+  for (uint64_t delta : sn_deltas) {
+    payload.WriteVarint(delta);
+    payload.WriteTuple(Tuple{Value(int64_t{1}), Value("x")});
+  }
+  checkpoint::Writer image;
+  image.WriteU32(kSegmentMagic);
+  image.WriteU32(kSegmentVersion);
+  image.WriteU32(7);
+  image.WriteU32(static_cast<uint32_t>(sn_deltas.size()));
+  image.WriteU64(base_sn);
+  image.WriteU64(last_sn);
+  image.WriteU32(static_cast<uint32_t>(payload.buffer().size()));
+  uint32_t crc = Crc32c(image.buffer());
+  crc = Crc32cExtend(crc, payload.buffer().data(), payload.buffer().size());
+  image.WriteU32(crc);
+  std::string out = image.release();
+  out += payload.buffer();
+  return out;
+}
+
+// An SN delta that wraps the 64-bit SN space lands below its predecessor;
+// the header's last_sn agrees with the wrapped value, so only the
+// monotonicity check can catch it.
+TEST(SegmentOpen, WrappingSnDeltaFailsClosed) {
+  ScratchDir dir("wrap");
+  const std::string path = (fs::path(dir.path) / "seg.seg").string();
+  const uint64_t wrap = ~uint64_t{0} - 49;  // 100 + wrap == 50 (mod 2^64)
+  ASSERT_TRUE(
+      wal::AtomicWriteFile(path, HandBuiltSegment(100, 50, {0, wrap})).ok());
+  auto reader = SegmentReader::Open(path);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_NE(reader.status().ToString().find("decreasing SNs"),
+            std::string::npos)
+      << reader.status().ToString();
 }
 
 }  // namespace

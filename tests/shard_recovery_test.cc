@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "db/database.h"
+#include "obs/export.h"
 #include "shard/sharded_db.h"
 
 namespace chronicle {
@@ -275,6 +276,52 @@ TEST(ShardRecoveryTest, TieredStoreDirectoriesSplitPerShard) {
   ASSERT_EQ(rows.size(), sums.size());
   for (const Tuple& row : rows) {
     EXPECT_EQ(row[1].int64(), sums[row[0].int64()]) << row[0].int64();
+  }
+}
+
+// The seal ledger: every sealed segment leaves one storage_seal_ns sample,
+// the sharded snapshot merges the per-shard histograms, and all three
+// exporters render it.
+TEST(ShardRecoveryTest, SealLatencyCountsEverySealedSegment) {
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << shards << " shard(s)");
+    const std::string tag = "seal_ledger_" + std::to_string(shards);
+    ScratchDir wal_dir(tag + "_wal");
+    ScratchDir data_dir(tag + "_data");
+    auto db = ShardedDatabase::Open(
+                  ShardedOptions(shards, wal_dir.path, data_dir.path))
+                  .value();
+    ASSERT_TRUE(db->CreateChronicle("calls", CallSchema(),
+                                    RetentionPolicy::Tiered(4))
+                    .ok());
+    ASSERT_TRUE(db->AttachWals().ok());
+    for (int step = 0; step < 60; ++step) {
+      std::vector<Tuple> batch;
+      for (int i = 0; i < 4; ++i) {
+        batch.push_back(Tuple{Value((step * 4 + i) % 13), Value("NJ"),
+                              Value(step)});
+      }
+      ASSERT_TRUE(db->Append("calls", std::move(batch)).ok());
+    }
+    const obs::StatsSnapshot snap = db->CollectStats();
+    ASSERT_TRUE(snap.storage.attached);
+    EXPECT_GE(snap.storage.segments_sealed, shards);
+    EXPECT_EQ(snap.storage.seal_failures, 0u);
+    EXPECT_EQ(snap.storage.seal_latency.count(), snap.storage.segments_sealed);
+    EXPECT_GT(snap.storage.seal_latency.SumNanos(), 0.0);
+
+    const std::string count =
+        std::to_string(snap.storage.seal_latency.count());
+    EXPECT_NE(obs::RenderPrometheus(snap).find(
+                  "chronicle_storage_seal_ns_count " + count),
+              std::string::npos);
+    const std::string json = obs::RenderJson(snap);
+    EXPECT_TRUE(obs::ValidateJson(json).ok()) << json;
+    EXPECT_NE(json.find("\"seal_latency\":{\"count\":" + count),
+              std::string::npos)
+        << json;
+    EXPECT_NE(obs::RenderText(snap).find("seal latency"), std::string::npos);
+    ASSERT_TRUE(db->CloseWals().ok());
   }
 }
 

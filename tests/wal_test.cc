@@ -6,9 +6,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <vector>
 
 #include "common/crc32.h"
+#include "common/crc32_internal.h"
+#include "common/random.h"
 #include "wal/recovery.h"
 #include "wal/wal.h"
 #include "wal/wal_file.h"
@@ -44,6 +48,54 @@ TEST(Crc32Test, KnownVectors) {
   uint32_t inc = Crc32cExtend(0, data.data(), 9);
   inc = Crc32cExtend(inc, data.data() + 9, data.size() - 9);
   EXPECT_EQ(inc, Crc32c(data));
+}
+
+// The dispatched Crc32cExtend (SSE4.2 where the CPU has it) must agree
+// with the portable table path on every length and alignment.
+TEST(Crc32Test, DispatchedMatchesPortable) {
+  const uint64_t seed = FuzzSeed(4096);
+  SCOPED_TRACE(testing::Message() << "CHRONICLE_FUZZ_SEED=" << seed);
+  Rng rng(seed);
+  std::string buffer(4096 + 8, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng.Uniform(256));
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 4096; ++len) {
+      const char* p = buffer.data() + offset;
+      const uint32_t start = static_cast<uint32_t>(rng.Next());
+      ASSERT_EQ(Crc32cExtend(start, p, len),
+                internal::Crc32cExtendPortable(start, p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, IncrementalSplitsMatchOneShot) {
+  const uint64_t seed = FuzzSeed(977);
+  SCOPED_TRACE(testing::Message() << "CHRONICLE_FUZZ_SEED=" << seed);
+  Rng rng(seed);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::string data(rng.Uniform(1024), '\0');
+    for (char& c : data) c = static_cast<char>(rng.Uniform(256));
+    const uint32_t whole = Crc32c(data);
+    ASSERT_EQ(whole,
+              internal::Crc32cExtendPortable(0, data.data(), data.size()));
+    // Up to four random cut points; every piece extends the running CRC.
+    std::vector<size_t> cuts = {0, data.size()};
+    for (uint64_t k = rng.Uniform(4); k > 0; --k) {
+      cuts.push_back(data.empty() ? 0 : rng.Uniform(data.size() + 1));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    uint32_t dispatched = 0;
+    uint32_t portable = 0;
+    for (size_t i = 1; i < cuts.size(); ++i) {
+      const char* piece = data.data() + cuts[i - 1];
+      const size_t len = cuts[i] - cuts[i - 1];
+      dispatched = Crc32cExtend(dispatched, piece, len);
+      portable = internal::Crc32cExtendPortable(portable, piece, len);
+    }
+    EXPECT_EQ(dispatched, whole) << "trial " << trial;
+    EXPECT_EQ(portable, whole) << "trial " << trial;
+  }
 }
 
 TEST(WalRecordTest, AppendRoundTrip) {
