@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/strings.h"
 
 namespace chronicle {
 namespace bench {
@@ -135,22 +136,18 @@ class SmokeReporter : public benchmark::BenchmarkReporter {
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
       std::string entry = "{";
-      char buf[160];
-      std::snprintf(buf, sizeof(buf),
-                    "\"real_time_ns\":%s,\"cpu_time_ns\":%s,"
-                    "\"iterations\":%lld",
-                    Num(ToNs(run.GetAdjustedRealTime(), run.time_unit)).c_str(),
-                    Num(ToNs(run.GetAdjustedCPUTime(), run.time_unit)).c_str(),
-                    static_cast<long long>(run.iterations));
-      entry += buf;
+      StrAppendf(&entry,
+                 "\"real_time_ns\":%s,\"cpu_time_ns\":%s,\"iterations\":%lld",
+                 Num(ToNs(run.GetAdjustedRealTime(), run.time_unit)).c_str(),
+                 Num(ToNs(run.GetAdjustedCPUTime(), run.time_unit)).c_str(),
+                 static_cast<long long>(run.iterations));
       entry += ",\"counters\":{";
       bool first = true;
       for (const auto& [name, counter] : run.counters) {
         if (!first) entry += ",";
         first = false;
-        std::snprintf(buf, sizeof(buf), "\"%s\":%s", Escape(name).c_str(),
-                      Num(static_cast<double>(counter)).c_str());
-        entry += buf;
+        StrAppendf(&entry, "\"%s\":%s", JsonEscape(name).c_str(),
+                   Num(static_cast<double>(counter)).c_str());
       }
       entry += "}}";
       // Keyed by the full run name ("UnionFan/u:64/compiled:1", aggregates
@@ -165,9 +162,9 @@ class SmokeReporter : public benchmark::BenchmarkReporter {
     std::string body;
     for (const auto& [name, entry] : entries_) {
       if (!body.empty()) body += ",";
-      body.append("\"").append(Escape(name)).append("\":").append(entry);
+      body.append("\"").append(JsonEscape(name)).append("\":").append(entry);
     }
-    GetOutputStream() << "{\"bench\":\"" << Escape(bench_)
+    GetOutputStream() << "{\"bench\":\"" << JsonEscape(bench_)
                       << "\",\"metrics\":{" << body << "}}\n";
   }
 
@@ -192,16 +189,6 @@ class SmokeReporter : public benchmark::BenchmarkReporter {
       default:
         return v * 1e9;  // kSecond
     }
-  }
-
-  static std::string Escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    return out;
   }
 
   std::string bench_;

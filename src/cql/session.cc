@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "common/strings.h"
 #include "obs/export.h"
 #include "storage/chronicle.h"
 #include "storage/chronicle_group.h"
@@ -49,7 +50,7 @@ SelectQuery CloneSelectQuery(const SelectQuery& q) {
 std::string ErrorJson(const Status& status) {
   return std::string("{\"error\":{\"code\":\"") +
          StatusCodeToString(status.code()) + "\",\"message\":\"" +
-         obs::JsonEscape(status.message()) + "\"}}";
+         JsonEscape(status.message()) + "\"}}";
 }
 
 Result<std::unique_ptr<Session>> Session::Open(DatabaseOptions options) {
@@ -123,20 +124,11 @@ void Session::InstallEnricherHook() {
 }
 
 void Session::RunEnrichers(obs::StatsSnapshot* snap) const {
-  // The session's own WAL mirror runs first so registered enrichers can
-  // see a complete snapshot.
+  // The session's own WAL section is filled first so registered enrichers
+  // can see a complete snapshot.
   if (wal_ != nullptr) {
-    const wal::WalStats& w = wal_->stats();
     snap->wal.attached = true;
-    snap->wal.records_logged = w.records_logged;
-    snap->wal.bytes_logged = w.bytes_logged;
-    snap->wal.syncs = w.syncs;
-    snap->wal.segments_created = w.segments_created;
-    snap->wal.segments_removed = w.segments_removed;
-    snap->wal.checkpoints_written = w.checkpoints_written;
-    snap->wal.group_commits = w.group_commits;
-    snap->wal.group_commit_ticks = w.group_commit_ticks;
-    snap->wal.fsync_latency = w.fsync_latency;
+    static_cast<obs::WalCounters&>(snap->wal) = wal_->stats();
   }
   snap->wal.recovered = recovered_;
   snap->wal.recovery_records_applied = recovery_records_applied_;

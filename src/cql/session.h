@@ -149,7 +149,7 @@ class Session {
   // net section, ...).
   obs::StatsSnapshot CollectStats() const;
   // The database exposes ONE stats-enricher hook, but two owners need it
-  // (the session's WAL mirror, the wire service's net section), so the
+  // (the session's WAL section, the wire service's net section), so the
   // session multiplexes a chain. Returns a token for RemoveStatsEnricher.
   // On unsharded sessions the chain runs inside the database's own
   // CollectStats (HTTP endpoint, history sampler, and flight recorder all

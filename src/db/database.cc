@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "baseline/naive_engine.h"
+#include "common/strings.h"
 #include "obs/export.h"
 #include "obs/flight_recorder.h"
 #include "obs/history.h"
@@ -573,15 +574,7 @@ obs::StatsSnapshot ChronicleDatabase::CollectStatsLocked() const {
   if (store_ != nullptr) {
     snap.storage.attached = true;
     snap.storage.data_dir = store_->options().data_dir;
-    const store::StoreCounters counters = store_->counters();
-    snap.storage.segments_sealed = counters.segments_sealed;
-    snap.storage.segments_evicted = counters.segments_evicted;
-    snap.storage.segments_quarantined = counters.segments_quarantined;
-    snap.storage.rows_sealed = counters.rows_sealed;
-    snap.storage.rows_evicted = counters.rows_evicted;
-    snap.storage.bytes_written = counters.bytes_written;
-    snap.storage.seal_failures = counters.seal_failures;
-    snap.storage.seal_latency = counters.seal_latency;
+    static_cast<obs::StoreCounters&>(snap.storage) = store_->counters();
     snap.storage.backfill_views = backfill_views_;
     snap.storage.backfill_rows = backfill_rows_;
     for (ChronicleId id = 0; id < group_.num_chronicles(); ++id) {
@@ -796,7 +789,7 @@ obs::HttpResponse ChronicleDatabase::HandleHttpRequest(
       response.status = 404;
       response.content_type = "application/json";
       response.body = "{\"error\":\"" +
-                      obs::JsonEscape(explain.status().message()) + "\"}";
+                      JsonEscape(explain.status().message()) + "\"}";
       return response;
     }
     response.content_type = "application/json";

@@ -446,7 +446,7 @@ class ChronicleDatabase {
   obs::StatsSnapshot CollectStats() const;
 
   // Merges owner-side sections into every snapshot CollectStats assembles
-  // (the shell uses this to mirror its Wal into obs::WalStatsSnapshot).
+  // (the shell uses this to copy its Wal's counters into the snapshot).
   // Swapped under the stats mutex: after this returns, no in-flight
   // snapshot still runs the previous enricher. Pass nullptr to clear.
   void set_stats_enricher(std::function<void(obs::StatsSnapshot*)> enricher);

@@ -2,11 +2,11 @@
 
 #include <chrono>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <limits>
 #include <string>
 
+#include "common/strings.h"
 #include "storage/relation.h"
 
 namespace chronicle {
@@ -490,39 +490,6 @@ Result<const std::vector<ChronicleRow>*> DeltaPlan::ExecuteToRows(
 
 namespace {
 
-// printf-append helper for the EXPLAIN renderers.
-#if defined(__GNUC__)
-__attribute__((format(printf, 2, 3)))
-#endif
-void ExplainAppendf(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  *out += buf;
-}
-
-// Minimal JSON string escaping (view names). exec does not depend on the
-// obs layer, so it cannot share obs::JsonEscape.
-std::string ExplainEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 // Whether `profile` carries samples for `instrs` (one entry per local
 // slot, root sampled). If so, fills the total self time and each slot's
 // subtree-cumulative time. Instructions are post-order, so every input
@@ -573,12 +540,12 @@ std::string DeltaPlan::Explain(const std::vector<SlotProfile>* profile) const {
   const double denom = total_ns > 0 ? static_cast<double>(total_ns) : 1.0;
 
   std::string out;
-  ExplainAppendf(&out, "plan: %zu slots, root s%u, %zu shared subexpressions\n",
-                 instrs_.size(), root_slot(), shared_subexpressions_);
+  StrAppendf(&out, "plan: %zu slots, root s%u, %zu shared subexpressions\n",
+             instrs_.size(), root_slot(), shared_subexpressions_);
   if (profiled) {
-    ExplainAppendf(&out, "profile: %" PRIu64 " sampled ticks, %" PRIu64
-                         " ns total self time\n",
-                   (*profile)[root_slot()].samples, total_ns);
+    StrAppendf(&out, "profile: %" PRIu64 " sampled ticks, %" PRIu64
+                     " ns total self time\n",
+               (*profile)[root_slot()].samples, total_ns);
   } else {
     out += "profile: no samples (enable profile_plan_slots and append)\n";
   }
@@ -597,7 +564,7 @@ std::string DeltaPlan::Explain(const std::vector<SlotProfile>* profile) const {
     stack.pop_back();
     const PlanInstr& instr = instrs_[frame.slot];
     for (size_t d = 0; d < frame.depth; ++d) out += "  ";
-    ExplainAppendf(&out, "s%u %s", frame.slot, CaOpToString(instr.node->op()));
+    StrAppendf(&out, "s%u %s", frame.slot, CaOpToString(instr.node->op()));
     if (instr.columnar) out += " [columnar]";
     if (rendered[frame.slot]) {
       out += "  (shared, see above)\n";
@@ -606,21 +573,21 @@ std::string DeltaPlan::Explain(const std::vector<SlotProfile>* profile) const {
     rendered[frame.slot] = true;
     if (profiled) {
       const SlotProfile& slot = (*profile)[frame.slot];
-      ExplainAppendf(&out,
-                     "  self %5.1f%%  cum %5.1f%%  rows %" PRIu64
-                     "  (%" PRIu64 " ns)",
-                     100.0 * static_cast<double>(slot.ns) / denom,
-                     100.0 * static_cast<double>(cum_ns[frame.slot]) / denom,
-                     slot.rows, slot.ns);
+      StrAppendf(&out,
+                 "  self %5.1f%%  cum %5.1f%%  rows %" PRIu64
+                 "  (%" PRIu64 " ns)",
+                 100.0 * static_cast<double>(slot.ns) / denom,
+                 100.0 * static_cast<double>(cum_ns[frame.slot]) / denom,
+                 slot.rows, slot.ns);
       if (slot.samples > 0) {
-        ExplainAppendf(&out, "  %.1f rows/tick",
-                       static_cast<double>(slot.rows) /
-                           static_cast<double>(slot.samples));
+        StrAppendf(&out, "  %.1f rows/tick",
+                   static_cast<double>(slot.rows) /
+                       static_cast<double>(slot.samples));
       }
       if (instr.columnar) {
         // How often the columnar kernel actually ran (vs row fallback).
-        ExplainAppendf(&out, "  vec %" PRIu64 "/%" PRIu64, slot.vec_samples,
-                       slot.samples);
+        StrAppendf(&out, "  vec %" PRIu64 "/%" PRIu64, slot.vec_samples,
+                   slot.samples);
       }
     }
     out += "\n";
@@ -641,37 +608,37 @@ std::string DeltaPlan::ExplainJson(
   const double denom = total_ns > 0 ? static_cast<double>(total_ns) : 1.0;
 
   std::string out;
-  ExplainAppendf(&out,
-                 "{\"view\":\"%s\",\"slots\":%zu,\"root\":%u,"
-                 "\"shared_subexpressions\":%zu,\"sampled_ticks\":%" PRIu64
-                 ",\"total_self_ns\":%" PRIu64 ",\"plan\":[",
-                 ExplainEscape(view_name).c_str(), instrs_.size(), root_slot(),
-                 shared_subexpressions_,
-                 profiled ? (*profile)[root_slot()].samples : uint64_t{0},
-                 total_ns);
+  StrAppendf(&out,
+             "{\"view\":\"%s\",\"slots\":%zu,\"root\":%u,"
+             "\"shared_subexpressions\":%zu,\"sampled_ticks\":%" PRIu64
+             ",\"total_self_ns\":%" PRIu64 ",\"plan\":[",
+             JsonEscape(view_name).c_str(), instrs_.size(), root_slot(),
+             shared_subexpressions_,
+             profiled ? (*profile)[root_slot()].samples : uint64_t{0},
+             total_ns);
   for (size_t i = 0; i < instrs_.size(); ++i) {
     const PlanInstr& instr = instrs_[i];
     if (i > 0) out += ",";
-    ExplainAppendf(&out, "{\"slot\":%zu,\"op\":\"%s\",\"inputs\":[", i,
-                   CaOpToString(instr.node->op()));
+    StrAppendf(&out, "{\"slot\":%zu,\"op\":\"%s\",\"inputs\":[", i,
+               CaOpToString(instr.node->op()));
     const size_t arity = instr.node->num_children();
-    if (arity >= 1) ExplainAppendf(&out, "%u", instr.in0);
-    if (arity >= 2) ExplainAppendf(&out, ",%u", instr.in1);
+    if (arity >= 1) StrAppendf(&out, "%u", instr.in0);
+    if (arity >= 2) StrAppendf(&out, ",%u", instr.in1);
     out += "]";
-    ExplainAppendf(&out, ",\"engine\":\"%s\"",
-                   instr.columnar ? "columnar" : "row");
+    StrAppendf(&out, ",\"engine\":\"%s\"",
+               instr.columnar ? "columnar" : "row");
     if (profiled) {
       const SlotProfile& slot = (*profile)[i];
-      ExplainAppendf(&out,
-                     ",\"self_ns\":%" PRIu64 ",\"self_share\":%.4f"
-                     ",\"cum_share\":%.4f,\"rows\":%" PRIu64,
-                     slot.ns, static_cast<double>(slot.ns) / denom,
-                     static_cast<double>(cum_ns[i]) / denom, slot.rows);
-      ExplainAppendf(&out, ",\"vec_samples\":%" PRIu64, slot.vec_samples);
+      StrAppendf(&out,
+                 ",\"self_ns\":%" PRIu64 ",\"self_share\":%.4f"
+                 ",\"cum_share\":%.4f,\"rows\":%" PRIu64,
+                 slot.ns, static_cast<double>(slot.ns) / denom,
+                 static_cast<double>(cum_ns[i]) / denom, slot.rows);
+      StrAppendf(&out, ",\"vec_samples\":%" PRIu64, slot.vec_samples);
       if (slot.samples > 0) {
-        ExplainAppendf(&out, ",\"rows_per_tick\":%.1f",
-                       static_cast<double>(slot.rows) /
-                           static_cast<double>(slot.samples));
+        StrAppendf(&out, ",\"rows_per_tick\":%.1f",
+                   static_cast<double>(slot.rows) /
+                       static_cast<double>(slot.samples));
       }
     }
     out += "}";

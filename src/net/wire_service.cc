@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "common/strings.h"
 #include "obs/export.h"
 
 namespace chronicle {
@@ -24,7 +25,7 @@ void JsonValue(std::string* out, const Value& v) {
     snprintf(buf, sizeof(buf), "%.17g", v.dbl());
     *out += buf;
   } else {
-    *out += "\"" + obs::JsonEscape(v.str()) + "\"";
+    *out += "\"" + JsonEscape(v.str()) + "\"";
   }
 }
 
@@ -638,13 +639,13 @@ obs::HttpResponse WireService::HandleSql(const obs::HttpRequest& request,
 
   resp.content_type = "application/json";
   std::string& out = resp.body;
-  out = "{\"message\":\"" + obs::JsonEscape(result->message) + "\"";
+  out = "{\"message\":\"" + JsonEscape(result->message) + "\"";
   if (result->schema.num_fields() > 0) {
     out += ",\"schema\":[";
     for (size_t i = 0; i < result->schema.num_fields(); ++i) {
       const Field& f = result->schema.field(i);
       if (i > 0) out += ",";
-      out += "{\"name\":\"" + obs::JsonEscape(f.name) + "\",\"type\":\"" +
+      out += "{\"name\":\"" + JsonEscape(f.name) + "\",\"type\":\"" +
              DataTypeToString(f.type) + "\"}";
     }
     out += "],\"rows\":[";

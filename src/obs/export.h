@@ -1,6 +1,7 @@
 // Exporters for the observability snapshot (obs/stats.h).
 //
-// Three renderings of the same StatsSnapshot:
+// Three renderings of the same StatsSnapshot, each a walk over the stats
+// field table (obs/stats_table.h):
 //   * RenderText        — human-oriented `\stats` shell output.
 //   * RenderPrometheus  — Prometheus text exposition format (HELP/TYPE
 //                         lines, histogram _bucket{le=...}/_sum/_count).
@@ -62,11 +63,6 @@ struct ShardTraceSnapshot {
 // Merged multi-shard render: {"emitted":sum,"capacity":sum,"shards":[
 // {"shard":k,"emitted":N,"capacity":N,"spans":[{...,"shard":k}]}]}.
 std::string RenderTraceJson(const std::vector<ShardTraceSnapshot>& shards);
-
-// Escapes `s` for use inside a JSON string literal (also valid as a
-// Prometheus label value). Exposed so other JSON emitters (plan EXPLAIN,
-// the HTTP error bodies) share one escaping implementation.
-std::string JsonEscape(const std::string& s);
 
 // Minimal recursive-descent JSON syntax checker: accepts exactly the
 // RFC 8259 grammar (objects, arrays, strings with escapes, numbers,

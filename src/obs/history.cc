@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
+
+#include "common/strings.h"
 
 namespace chronicle {
 namespace obs {
@@ -46,22 +47,6 @@ const LatencyHistogram* MetricHistogram(const StatsSnapshot& snapshot,
     if (m.is_histogram && m.name == name) return &m.histogram;
   }
   return nullptr;
-}
-
-void Appendf(std::string* out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void Appendf(std::string* out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  const int n = vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  if (n > 0) {
-    out->append(buf, static_cast<size_t>(n) < sizeof(buf)
-                         ? static_cast<size_t>(n)
-                         : sizeof(buf) - 1);
-  }
 }
 
 // One sparkline over `values`, scaled to the max (all-zero renders flat).
@@ -201,29 +186,29 @@ uint64_t StatsHistory::total_samples() const {
 std::string RenderHistoryJson(const std::vector<HistoryWindow>& windows,
                               uint64_t total_samples, uint64_t capacity) {
   std::string out;
-  Appendf(&out, "{\"samples\":%" PRIu64 ",\"capacity\":%" PRIu64
-                ",\"windows\":[",
-          total_samples, capacity);
+  StrAppendf(&out, "{\"samples\":%" PRIu64 ",\"capacity\":%" PRIu64
+                   ",\"windows\":[",
+             total_samples, capacity);
   for (size_t i = 0; i < windows.size(); ++i) {
     const HistoryWindow& w = windows[i];
     if (i > 0) out += ",";
-    Appendf(&out,
-            "{\"t_ns\":%" PRId64 ",\"seconds\":%.6f,\"appends_per_sec\":%.3f"
-            ",\"delta_rows_per_sec\":%.3f,\"view_ticks\":%" PRIu64
-            ",\"tick_p50_ns\":%" PRId64 ",\"tick_p99_ns\":%" PRId64,
-            w.t_ns, w.seconds, w.appends_per_sec, w.delta_rows_per_sec,
-            w.view_ticks, w.tick_p50_ns, w.tick_p99_ns);
+    StrAppendf(&out,
+               "{\"t_ns\":%" PRId64 ",\"seconds\":%.6f,\"appends_per_sec\":%.3f"
+               ",\"delta_rows_per_sec\":%.3f,\"view_ticks\":%" PRIu64
+               ",\"tick_p50_ns\":%" PRId64 ",\"tick_p99_ns\":%" PRId64,
+               w.t_ns, w.seconds, w.appends_per_sec, w.delta_rows_per_sec,
+               w.view_ticks, w.tick_p50_ns, w.tick_p99_ns);
     if (!w.shards.empty()) {
       out += ",\"shards\":[";
       for (size_t k = 0; k < w.shards.size(); ++k) {
         const ShardHistoryWindow& s = w.shards[k];
         if (k > 0) out += ",";
-        Appendf(&out,
-                "{\"shard\":%zu,\"appends_per_sec\":%.3f"
-                ",\"routed_rows_per_sec\":%.3f,\"queue_depth\":%" PRIu64
-                ",\"tick_p50_ns\":%" PRId64 ",\"tick_p99_ns\":%" PRId64 "}",
-                s.shard, s.appends_per_sec, s.routed_rows_per_sec,
-                s.queue_depth, s.tick_p50_ns, s.tick_p99_ns);
+        StrAppendf(&out,
+                   "{\"shard\":%zu,\"appends_per_sec\":%.3f"
+                   ",\"routed_rows_per_sec\":%.3f,\"queue_depth\":%" PRIu64
+                   ",\"tick_p50_ns\":%" PRId64 ",\"tick_p99_ns\":%" PRId64 "}",
+                   s.shard, s.appends_per_sec, s.routed_rows_per_sec,
+                   s.queue_depth, s.tick_p50_ns, s.tick_p99_ns);
       }
       out += "]";
     }
@@ -248,15 +233,15 @@ std::string RenderHistoryText(const std::vector<HistoryWindow>& windows) {
   }
   const HistoryWindow& last = windows.back();
   std::string out;
-  Appendf(&out, "history: %zu window(s), newest last\n", windows.size());
-  Appendf(&out, "  appends/s    %s  now %s\n", Sparkline(appends).c_str(),
-          HumanRate(last.appends_per_sec).c_str());
-  Appendf(&out, "  delta rows/s %s  now %s\n", Sparkline(rows).c_str(),
-          HumanRate(last.delta_rows_per_sec).c_str());
-  Appendf(&out,
-          "  tick p99     %s  now %.1fus (p50 %.1fus, %" PRIu64 " ticks)\n",
-          Sparkline(p99).c_str(), last.tick_p99_ns / 1e3, last.tick_p50_ns / 1e3,
-          last.view_ticks);
+  StrAppendf(&out, "history: %zu window(s), newest last\n", windows.size());
+  StrAppendf(&out, "  appends/s    %s  now %s\n", Sparkline(appends).c_str(),
+             HumanRate(last.appends_per_sec).c_str());
+  StrAppendf(&out, "  delta rows/s %s  now %s\n", Sparkline(rows).c_str(),
+             HumanRate(last.delta_rows_per_sec).c_str());
+  StrAppendf(&out,
+             "  tick p99     %s  now %.1fus (p50 %.1fus, %" PRIu64 " ticks)\n",
+             Sparkline(p99).c_str(), last.tick_p99_ns / 1e3,
+             last.tick_p50_ns / 1e3, last.view_ticks);
   return out;
 }
 

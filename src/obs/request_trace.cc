@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <map>
 #include <utility>
+
+#include "common/strings.h"
 
 namespace chronicle {
 namespace obs {
@@ -42,21 +43,6 @@ bool ParseHex(const std::string& text, size_t at, size_t n, uint64_t* out) {
   }
   *out = value;
   return true;
-}
-
-void AppendF(std::string* out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  const int n = vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  if (n > 0) {
-    out->append(buf,
-                static_cast<size_t>(n) < sizeof(buf) ? n : sizeof(buf) - 1);
-  }
 }
 
 }  // namespace
@@ -224,8 +210,16 @@ void RequestTracer::Emit(const TraceContext& ctx, uint64_t span_id,
   if (slots_.empty()) return;
   const uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[seq & (slots_.size() - 1)];
-  const uint64_t v = slot.version.load(std::memory_order_relaxed);
-  slot.version.store(v + 1, std::memory_order_release);
+  // Seqlock write, as in TraceRing::Emit: the odd version is taken by CAS,
+  // so two writers that meet on a wrapped slot run one after the other
+  // instead of interleaving their fields under one even version.
+  uint64_t v = slot.version.load(std::memory_order_relaxed);
+  while ((v & 1) != 0 ||
+         !slot.version.compare_exchange_weak(v, v + 1,
+                                             std::memory_order_acquire,
+                                             std::memory_order_relaxed)) {
+    if ((v & 1) != 0) v = slot.version.load(std::memory_order_relaxed);
+  }
   std::atomic_thread_fence(std::memory_order_release);
   slot.seq.store(seq, std::memory_order_relaxed);
   slot.trace_hi.store(ctx.trace_hi, std::memory_order_relaxed);
@@ -350,20 +344,20 @@ void RenderOneTrace(std::string* out, const TraceGroup& trace) {
   if (trace.spans.empty()) start_ns = 0;
   const int64_t total_ns =
       trace.root != nullptr ? trace.root->duration_ns : end_ns - start_ns;
-  AppendF(out, "{\"trace_id\":\"%s\",\"root_span_id\":\"%016" PRIx64
-               "\",\"start_ns\":%" PRId64 ",\"total_ns\":%" PRId64
-               ",\"spans\":[",
-          trace_id, trace.root != nullptr ? trace.root->span_id : 0,
-          start_ns, total_ns);
+  StrAppendf(out, "{\"trace_id\":\"%s\",\"root_span_id\":\"%016" PRIx64
+                  "\",\"start_ns\":%" PRId64 ",\"total_ns\":%" PRId64
+                  ",\"spans\":[",
+             trace_id, trace.root != nullptr ? trace.root->span_id : 0,
+             start_ns, total_ns);
   for (size_t i = 0; i < trace.spans.size(); ++i) {
     const RequestSpan& s = *trace.spans[i];
     if (i > 0) *out += ",";
-    AppendF(out, "{\"span_id\":\"%016" PRIx64 "\",\"parent_span_id\":\"%016"
-                 PRIx64 "\",\"stage\":\"%s\",\"shard\":%d,\"worker\":%u"
-                 ",\"start_ns\":%" PRId64 ",\"duration_ns\":%" PRId64
-                 ",\"detail\":%" PRIu64 "}",
-            s.span_id, s.parent_span, ReqStageToString(s.stage), s.shard,
-            unsigned{s.worker}, s.start_ns, s.duration_ns, s.detail);
+    StrAppendf(out, "{\"span_id\":\"%016" PRIx64 "\",\"parent_span_id\":\"%016"
+                    PRIx64 "\",\"stage\":\"%s\",\"shard\":%d,\"worker\":%u"
+                    ",\"start_ns\":%" PRId64 ",\"duration_ns\":%" PRId64
+                    ",\"detail\":%" PRIu64 "}",
+               s.span_id, s.parent_span, ReqStageToString(s.stage), s.shard,
+               unsigned{s.worker}, s.start_ns, s.duration_ns, s.detail);
   }
   *out += "]}";
 }
@@ -412,9 +406,9 @@ std::string RequestTracer::RenderRequestsJson(size_t max_traces) const {
   if (traces.size() > max_traces) traces.resize(max_traces);
 
   std::string out;
-  AppendF(&out, "{\"emitted\":%" PRIu64 ",\"capacity\":%zu"
-                ",\"sample_rate\":%g,\"traces\":[",
-          total_emitted(), slots_.size(), sample_rate_);
+  StrAppendf(&out, "{\"emitted\":%" PRIu64 ",\"capacity\":%zu"
+                   ",\"sample_rate\":%g,\"traces\":[",
+             total_emitted(), slots_.size(), sample_rate_);
   for (size_t i = 0; i < traces.size(); ++i) {
     if (i > 0) out += ",";
     RenderOneTrace(&out, traces[i]);
@@ -440,10 +434,10 @@ std::string RequestTracer::RenderTraceTreeJson(uint64_t trace_hi,
   snprintf(trace_id, sizeof(trace_id), "%016" PRIx64 "%016" PRIx64, trace_hi,
            trace_lo);
   std::string out;
-  AppendF(&out, "{\"trace_id\":\"%s\",\"root_span_id\":"
-                "\"0000000000000000\",\"start_ns\":0,\"total_ns\":0,"
-                "\"spans\":[]}",
-          trace_id);
+  StrAppendf(&out, "{\"trace_id\":\"%s\",\"root_span_id\":"
+                   "\"0000000000000000\",\"start_ns\":0,\"total_ns\":0,"
+                   "\"spans\":[]}",
+             trace_id);
   return out;
 }
 

@@ -1,12 +1,14 @@
-// Observability data model: per-view maintenance statistics, the WAL/
-// ingest statistics mirror, and the whole-database snapshot the exporters
+// Observability data model: per-view maintenance statistics, the WAL and
+// tiered-store counters, and the whole-database snapshot the exporters
 // (obs/export.h) render.
 //
 // Everything in this header is plain data. The structs are filled by the
 // components that own the live counters — ViewManager (per-view stats),
-// ChronicleDatabase (appends, metrics registry, trace), and the shell or
-// bench that owns a Wal (WAL stats are mirrored field-by-field so obs does
-// not depend on src/wal) — and the exporters only ever see the snapshot.
+// ChronicleDatabase (appends, metrics registry, trace), wal::Wal and
+// store::TieredStore (which keep their counters in WalCounters and
+// StoreCounters, the bases of the WAL and storage sections) — and the
+// exporters only ever see the snapshot. obs/stats_table.h describes every
+// member once; adding a member means adding its row there.
 
 #ifndef CHRONICLE_OBS_STATS_H_
 #define CHRONICLE_OBS_STATS_H_
@@ -100,11 +102,8 @@ struct ViewStatsSnapshot {
   LatencyHistogram latency;    // empty unless profiling was on
 };
 
-// WAL/ingest statistics, mirrored from wal::Wal by whoever owns it (the
-// db does not — durability is an attachment). `attached` false means the
-// whole section is absent from exports.
-struct WalStatsSnapshot {
-  bool attached = false;
+// The live counters of one wal::Wal.
+struct WalCounters {
   uint64_t records_logged = 0;
   uint64_t bytes_logged = 0;
   uint64_t syncs = 0;
@@ -113,7 +112,14 @@ struct WalStatsSnapshot {
   uint64_t checkpoints_written = 0;
   uint64_t group_commits = 0;        // LogAppendGroup calls
   uint64_t group_commit_ticks = 0;   // ticks covered by those calls
-  LatencyHistogram fsync_latency;
+  LatencyHistogram fsync_latency;    // wall time of each fsync
+};
+
+// WAL/ingest statistics, copied from wal::Wal by whoever owns it (the db
+// does not — durability is an attachment). `attached` false means the
+// whole section is absent from exports.
+struct WalStatsSnapshot : WalCounters {
+  bool attached = false;
   // Filled after a wal::Recover, from the RecoveryReport.
   bool recovered = false;
   uint64_t recovery_records_applied = 0;
@@ -132,21 +138,26 @@ struct ChronicleTierSnapshot {
   uint64_t last_sealed_sn = 0;
 };
 
-// Tiered-store statistics, mirrored from store::TieredStore by the
-// database (obs does not depend on src/store). `attached` false means the
-// section renders as absent/null.
-struct StorageStatsSnapshot {
-  bool attached = false;
-  std::string data_dir;
+// The aggregate counters of one store::TieredStore.
+struct StoreCounters {
   uint64_t segments_sealed = 0;
   uint64_t segments_evicted = 0;
   uint64_t segments_quarantined = 0;
   uint64_t rows_sealed = 0;
   uint64_t rows_evicted = 0;
-  uint64_t bytes_written = 0;
+  uint64_t bytes_written = 0;  // compressed bytes appended to the warm tier
   uint64_t seal_failures = 0;
-  // Per-segment seal wall time (store::StoreCounters::seal_latency).
+  // Wall time of each sealed segment (encode, write, fsyncs, validating
+  // reopen; the first segment of a SealRows call also carries the WAL
+  // barrier): the `storage_seal_ns` ledger entry, one sample per segment.
   LatencyHistogram seal_latency;
+};
+
+// Tiered-store statistics, copied from store::TieredStore by the database.
+// `attached` false means the section renders as absent/null.
+struct StorageStatsSnapshot : StoreCounters {
+  bool attached = false;
+  std::string data_dir;
   // Late-view backfill totals (db-level; the per-event metrics live in the
   // registry as backfill_events_total / backfill_rows_total).
   uint64_t backfill_views = 0;

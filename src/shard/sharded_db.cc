@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "obs/request_trace.h"
+#include "obs/stats_table.h"
 #include "views/persistent_view.h"
 
 namespace chronicle {
@@ -637,115 +638,28 @@ Status ShardedDatabase::CloseWals() {
 // --- observability ---
 
 obs::StatsSnapshot ShardedDatabase::CollectStats() const {
-  obs::StatsSnapshot merged;
-  std::unordered_map<std::string, size_t> metric_index;
-  std::unordered_map<std::string, size_t> view_index;
-  merged.sharding.attached = true;
-  merged.sharding.num_shards = engines_.size();
+  std::vector<obs::StatsSnapshot> shards;
+  shards.reserve(engines_.size());
+  for (const auto& engine : engines_) shards.push_back(engine->CollectStats());
+  obs::StatsSnapshot merged = obs::MergeShardSnapshots(shards);
   merged.sharding.partition_key = partition_column_;
+  if (merged.storage.attached) {
+    merged.storage.data_dir = options_.storage.data_dir;
+  }
   for (size_t k = 0; k < engines_.size(); ++k) {
-    obs::StatsSnapshot snap = engines_[k]->CollectStats();
-    merged.appends_processed += snap.appends_processed;
-    merged.live_views = std::max(merged.live_views, snap.live_views);
-    merged.delta_cache_hits += snap.delta_cache_hits;
-    merged.delta_cache_misses += snap.delta_cache_misses;
-    merged.trace_emitted += snap.trace_emitted;
-    merged.trace_capacity += snap.trace_capacity;
-
-    obs::ShardStatsSnapshot shard_row;
-    shard_row.shard = k;
-    shard_row.appends_processed = snap.appends_processed;
-    shard_row.enqueued_batches =
+    obs::ShardStatsSnapshot& row = merged.sharding.shards[k];
+    row.enqueued_batches =
         shards_[k]->enqueued_batches.load(std::memory_order_relaxed);
-    shard_row.routed_rows =
-        shards_[k]->routed_rows.load(std::memory_order_relaxed);
+    row.routed_rows = shards_[k]->routed_rows.load(std::memory_order_relaxed);
     for (size_t p = 0; p < num_producers_; ++p) {
-      shard_row.queue_depth +=
-          lanes_[p * engines_.size() + k]->ring.SizeApprox();
+      row.queue_depth += lanes_[p * engines_.size() + k]->ring.SizeApprox();
     }
-
-    for (obs::MetricSample& sample : snap.metrics) {
-      if (sample.is_histogram && sample.name == "maintenance_tick_ns") {
-        shard_row.tick_latency_populated = true;
-        shard_row.tick_latency = sample.histogram;
-      }
-      auto [it, inserted] =
-          metric_index.try_emplace(sample.name, merged.metrics.size());
-      if (inserted) {
-        merged.metrics.push_back(std::move(sample));
-      } else if (sample.is_histogram) {
-        merged.metrics[it->second].histogram.Merge(sample.histogram);
-      } else {
-        merged.metrics[it->second].value += sample.value;
-      }
-    }
-
-    for (obs::ViewStatsSnapshot& view : snap.views) {
-      auto [it, inserted] =
-          view_index.try_emplace(view.name, merged.views.size());
-      if (inserted) {
-        merged.views.push_back(std::move(view));
-        continue;
-      }
-      obs::ViewStatsSnapshot& dst = merged.views[it->second];
-      dst.stats.ticks += view.stats.ticks;
-      dst.stats.updates += view.stats.updates;
-      dst.stats.delta_rows += view.stats.delta_rows;
-      dst.stats.compiled_ticks += view.stats.compiled_ticks;
-      dst.stats.interpreted_ticks += view.stats.interpreted_ticks;
-      dst.stats.relation_lookups += view.stats.relation_lookups;
-      dst.stats.max_intermediate_rows = std::max(
-          dst.stats.max_intermediate_rows, view.stats.max_intermediate_rows);
-      dst.stats.plan_slots = std::max(dst.stats.plan_slots,
-                                      view.stats.plan_slots);
-      dst.stats.arena_hwm_bytes =
-          std::max(dst.stats.arena_hwm_bytes, view.stats.arena_hwm_bytes);
-      dst.stats.max_dedupe_load =
-          std::max(dst.stats.max_dedupe_load, view.stats.max_dedupe_load);
-      if (view.profiled) {
-        dst.profiled = true;
-        dst.latency.Merge(view.latency);
-      }
-    }
-
-    if (snap.storage.attached) {
-      merged.storage.attached = true;
-      if (merged.storage.data_dir.empty()) {
-        merged.storage.data_dir = options_.storage.data_dir;
-      }
-      merged.storage.segments_sealed += snap.storage.segments_sealed;
-      merged.storage.segments_evicted += snap.storage.segments_evicted;
-      merged.storage.segments_quarantined += snap.storage.segments_quarantined;
-      merged.storage.rows_sealed += snap.storage.rows_sealed;
-      merged.storage.rows_evicted += snap.storage.rows_evicted;
-      merged.storage.bytes_written += snap.storage.bytes_written;
-      merged.storage.seal_failures += snap.storage.seal_failures;
-      merged.storage.seal_latency.Merge(snap.storage.seal_latency);
-      merged.storage.backfill_views += snap.storage.backfill_views;
-      merged.storage.backfill_rows += snap.storage.backfill_rows;
-      for (obs::ChronicleTierSnapshot& tier : snap.storage.chronicles) {
-        tier.name = "shard-" + std::to_string(k) + "/" + tier.name;
-        merged.storage.chronicles.push_back(std::move(tier));
-      }
-    }
-
-    merged.sharding.shards.push_back(std::move(shard_row));
   }
   // WAL stats are written by the shard engines' append threads; only a
   // quiesced pipeline yields a consistent read.
   if (!wals_.empty() && !ingest_active()) {
-    merged.wal.attached = true;
     for (const auto& wal : wals_) {
-      const wal::WalStats& stats = wal->stats();
-      merged.wal.records_logged += stats.records_logged;
-      merged.wal.bytes_logged += stats.bytes_logged;
-      merged.wal.syncs += stats.syncs;
-      merged.wal.segments_created += stats.segments_created;
-      merged.wal.segments_removed += stats.segments_removed;
-      merged.wal.checkpoints_written += stats.checkpoints_written;
-      merged.wal.group_commits += stats.group_commits;
-      merged.wal.group_commit_ticks += stats.group_commit_ticks;
-      merged.wal.fsync_latency.Merge(stats.fsync_latency);
+      obs::AddWalCounters(&merged.wal, wal->stats());
     }
   }
   return merged;

@@ -335,7 +335,7 @@ void TieredStore::AttachMetrics(obs::MetricsRegistry* metrics,
   ids_ = ids;
 }
 
-StoreCounters TieredStore::counters() const {
+obs::StoreCounters TieredStore::counters() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return counters_;
 }

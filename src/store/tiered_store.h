@@ -33,9 +33,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/histogram.h"
 #include "common/status.h"
 #include "obs/metrics.h"
+#include "obs/stats.h"
 #include "storage/chronicle.h"
 #include "store/segment.h"
 
@@ -56,21 +56,6 @@ struct StorageOptions {
   // either. 0 = unbounded.
   uint64_t warm_budget_bytes = 256ull << 20;
   size_t warm_budget_segments = 0;
-};
-
-// Aggregate counters, mirrored into StatsSnapshot.storage.
-struct StoreCounters {
-  uint64_t segments_sealed = 0;
-  uint64_t segments_evicted = 0;
-  uint64_t segments_quarantined = 0;
-  uint64_t rows_sealed = 0;
-  uint64_t rows_evicted = 0;
-  uint64_t bytes_written = 0;  // compressed bytes appended to the warm tier
-  uint64_t seal_failures = 0;
-  // Wall time of each sealed segment (encode, write, fsyncs, validating
-  // reopen; the first segment of a SealRows call also carries the WAL
-  // barrier): the `storage_seal_ns` ledger entry, one sample per segment.
-  LatencyHistogram seal_latency;
 };
 
 // Pre-resolved registry ids for the storage metric catalog. Registered by
@@ -148,7 +133,7 @@ class TieredStore : public TierSink {
   void AttachMetrics(obs::MetricsRegistry* metrics,
                      const StoreMetricIds& ids);
 
-  StoreCounters counters() const;
+  obs::StoreCounters counters() const;
   WarmTierInfo TierOf(ChronicleId id) const;
   const StorageOptions& options() const { return options_; }
 
@@ -180,7 +165,7 @@ class TieredStore : public TierSink {
   StorageOptions options_;
   mutable std::mutex mutex_;
   std::unordered_map<ChronicleId, ChronicleTier> tiers_;
-  StoreCounters counters_;
+  obs::StoreCounters counters_;
   std::function<Status()> pre_seal_barrier_;
 
   obs::MetricsRegistry* metrics_ = nullptr;

@@ -35,9 +35,9 @@
 #include <string>
 #include <vector>
 
-#include "common/histogram.h"
 #include "common/status.h"
 #include "db/database.h"
+#include "obs/stats.h"
 #include "wal/wal_file.h"
 #include "wal/wal_record.h"
 
@@ -66,20 +66,6 @@ struct WalOptions {
   // Segment file factory; tests substitute fault-injecting files. Defaults
   // to OpenWritableFile.
   FileFactory file_factory;
-};
-
-struct WalStats {
-  uint64_t records_logged = 0;
-  uint64_t bytes_logged = 0;
-  uint64_t syncs = 0;
-  uint64_t segments_created = 0;
-  uint64_t segments_removed = 0;
-  uint64_t checkpoints_written = 0;
-  uint64_t group_commits = 0;       // LogAppendGroup calls
-  uint64_t group_commit_ticks = 0;  // ticks covered by those calls
-  // Wall time of each fsync (the obs layer mirrors this into its WAL
-  // snapshot; see obs::WalStatsSnapshot).
-  LatencyHistogram fsync_latency;
 };
 
 // The log manager: owns the active segment, assigns LSNs, and runs the
@@ -136,7 +122,7 @@ class Wal {
   // back to an older image if the newest is damaged.
   Status WriteCheckpoint(const ChronicleDatabase& db);
 
-  const WalStats& stats() const { return stats_; }
+  const obs::WalCounters& stats() const { return stats_; }
   const std::string& dir() const { return dir_; }
 
   // Syncs and closes the active segment. Further Log calls fail.
@@ -165,7 +151,7 @@ class Wal {
   uint64_t segment_bytes_written_ = 0;
   uint64_t bytes_since_sync_ = 0;
   bool closed_ = false;
-  WalStats stats_;
+  obs::WalCounters stats_;
 };
 
 // MutationLog adapter: plugs a Wal into ChronicleDatabase's durability

@@ -1,11 +1,12 @@
 // Tests for the small common utilities: Stopwatch, MemoryMeter,
-// FormatBytes.
+// FormatBytes, StrAppendf and JsonEscape.
 
 #include <gtest/gtest.h>
 
 #include <thread>
 
 #include "common/stopwatch.h"
+#include "common/strings.h"
 #include "common/tracking_allocator.h"
 
 namespace chronicle {
@@ -76,6 +77,18 @@ TEST(FormatBytesTest, AdaptiveUnits) {
   EXPECT_EQ(FormatBytes(size_t{5} * 1024 * 1024 * 1024), "5.0 GiB");
   // Beyond GiB it stays in GiB.
   EXPECT_EQ(FormatBytes(size_t{2048} * 1024 * 1024 * 1024), "2048.0 GiB");
+}
+
+TEST(StringsTest, StrAppendfGrowsInsteadOfTruncating) {
+  std::string out = "x";
+  const std::string arg(5000, 'a');
+  StrAppendf(&out, "<%s>%d", arg.c_str(), 42);
+  EXPECT_EQ(out, "x<" + arg + ">42");
+}
+
+TEST(StringsTest, JsonEscapeCoversQuotesAndControlBytes) {
+  EXPECT_EQ(JsonEscape("a\"b\\c\n\t\r\x01/"),
+            "a\\\"b\\\\c\\n\\t\\r\\u0001/");
 }
 
 }  // namespace

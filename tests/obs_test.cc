@@ -9,15 +9,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <map>
 #include <set>
+#include <sstream>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "db/database.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/stats.h"
+#include "obs/stats_table.h"
 #include "obs/trace.h"
 
 namespace chronicle {
@@ -457,6 +461,91 @@ TEST(ExporterRoundTripTest, ValidateJsonRejectsMalformedInput) {
   EXPECT_FALSE(obs::ValidateJson("\"unterminated").ok());
   EXPECT_FALSE(obs::ValidateJson("{\"a\": 1} trailing").ok());
   EXPECT_FALSE(obs::ValidateJson("nul").ok());
+}
+
+// --- long names and wide counters ---
+
+// Every exporter grows its output instead of formatting into a fixed
+// buffer: a 600-byte view name comes out whole in every format.
+TEST(ExporterRoundTripTest, LongViewNameSurvivesEveryExporter) {
+  ChronicleDatabase db;
+  ASSERT_TRUE(db.CreateChronicle("calls", CallSchema()).ok());
+  CaExprPtr scan = db.ScanChronicle("calls").value();
+  SummarySpec spec = SummarySpec::GroupBy(scan->schema(), {"caller"},
+                                          {AggSpec::Sum("minutes", "m")})
+                         .value();
+  const std::string name(600, 'v');
+  ASSERT_TRUE(db.CreateView(name, scan, spec).ok());
+  ASSERT_TRUE(db.Append("calls", {Call(1, "NJ", 10)}).ok());
+  const obs::StatsSnapshot snap = db.CollectStats();
+
+  EXPECT_TRUE(obs::ValidateJson(obs::RenderJson(snap)).ok());
+  Result<std::string> explain = db.ExplainViewJson(name);
+  ASSERT_TRUE(explain.ok());
+  EXPECT_TRUE(obs::ValidateJson(explain.value()).ok()) << explain.value();
+  EXPECT_NE(obs::RenderText(snap).find(name), std::string::npos);
+
+  std::istringstream prom(obs::RenderPrometheus(snap));
+  size_t samples = 0;
+  for (std::string line; std::getline(prom, line);) {
+    const size_t at = line.find(name);
+    if (at == std::string::npos) continue;
+    ++samples;
+    const std::string tail = line.substr(at + name.size());
+    EXPECT_EQ(tail.rfind("\"} ", 0), 0u) << line;
+    EXPECT_GT(tail.size(), 3u) << line;
+    EXPECT_EQ(tail.find_first_not_of("0123456789", 3), std::string::npos)
+        << line;
+  }
+  EXPECT_EQ(samples, 8u);  // one per chronicle_view_* family
+}
+
+TEST(ExporterRoundTripTest, NetSectionAtCounterMaxValidates) {
+  obs::StatsSnapshot snap;
+  snap.net.attached = true;
+  snap.net.sessions.resize(2);
+  auto saturate = [](auto* s) {
+    using S = std::remove_pointer_t<decltype(s)>;
+    obs::stats_table::ForEachRow<S>([&](const auto& row) {
+      using M = obs::stats_table::MemberOf<decltype(row)>;
+      if constexpr (std::is_integral_v<M> && !std::is_same_v<M, bool>) {
+        s->*row.member = std::numeric_limits<M>::max();
+      }
+    });
+  };
+  saturate(&snap.net);
+  for (obs::NetSessionSnapshot& session : snap.net.sessions) {
+    session.id = "session";
+    saturate(&session);
+  }
+  const std::string json = obs::RenderJson(snap);
+  EXPECT_TRUE(obs::ValidateJson(json).ok()) << json;
+  EXPECT_NE(json.find("\"rejected_auth_total\":18446744073709551615"),
+            std::string::npos);
+}
+
+// chronicle_live_views goes down on DROP VIEW, so it is a gauge.
+TEST(ExporterRoundTripTest, LiveViewsIsAGaugeThatDropViewLowers) {
+  ChronicleDatabase db;
+  ASSERT_TRUE(db.CreateChronicle("calls", CallSchema()).ok());
+  CaExprPtr scan = db.ScanChronicle("calls").value();
+  SummarySpec spec = SummarySpec::GroupBy(scan->schema(), {"caller"},
+                                          {AggSpec::Sum("minutes", "m")})
+                         .value();
+  ASSERT_TRUE(db.CreateView("a", scan, spec).ok());
+  ASSERT_TRUE(db.CreateView("b", scan, spec).ok());
+  auto exposition = [&db] { return obs::RenderPrometheus(db.CollectStats()); };
+  const std::string before = exposition();
+  EXPECT_NE(before.find("# TYPE chronicle_live_views gauge\n"
+                        "chronicle_live_views 2\n"),
+            std::string::npos)
+      << before;
+  ASSERT_TRUE(db.DropView("b").ok());
+  const std::string after = exposition();
+  EXPECT_NE(after.find("# TYPE chronicle_live_views gauge\n"
+                       "chronicle_live_views 1\n"),
+            std::string::npos)
+      << after;
 }
 
 }  // namespace

@@ -225,8 +225,8 @@ int RunVerify(const Args& args) {
   uint64_t rows = db.group().GetChronicle(0).value()->num_retained();
 
   const store::TieredStore* store = db.tiered_store();
-  const store::StoreCounters counters =
-      store != nullptr ? store->counters() : store::StoreCounters{};
+  const obs::StoreCounters counters =
+      store != nullptr ? store->counters() : obs::StoreCounters{};
   std::printf(
       "verify: rows=%llu last_sn=%llu warm=%llu sealed_sn=%llu "
       "quarantined=%llu torn_tail=%d callers=%zu -> %s\n",
