@@ -1,11 +1,10 @@
 #include "checkpoint/checkpoint.h"
 
 #include <algorithm>
-#include <fstream>
 #include <vector>
 
 #include "checkpoint/serde.h"
-#include "wal/wal_file.h"
+#include "io/file.h"
 
 namespace chronicle {
 namespace checkpoint {
@@ -316,14 +315,11 @@ Status SaveDatabaseToFile(const ChronicleDatabase& db,
   CHRONICLE_ASSIGN_OR_RETURN(std::string image, SaveDatabase(db));
   // Never truncate the previous checkpoint in place: a crash mid-write
   // must leave it restorable.
-  return wal::AtomicWriteFile(path, image);
+  return io::AtomicWriteFile(path, image);
 }
 
 Status RestoreDatabaseFromFile(const std::string& path, ChronicleDatabase* db) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open checkpoint '" + path + "'");
-  std::string image((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+  CHRONICLE_ASSIGN_OR_RETURN(std::string image, io::ReadFile(path));
   return RestoreDatabase(image, db);
 }
 

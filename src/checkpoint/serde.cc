@@ -188,8 +188,9 @@ Result<Tuple> Reader::ReadTuple() {
   return t;
 }
 
-Status Reader::SkipTuple() {
+Result<uint64_t> Reader::SkipTuple() {
   CHRONICLE_ASSIGN_OR_RETURN(uint32_t arity, ReadU32());
+  uint64_t footprint = uint64_t{arity} * sizeof(Value);
   for (uint32_t i = 0; i < arity; ++i) {
     CHRONICLE_ASSIGN_OR_RETURN(uint8_t tag, ReadU8());
     switch (tag) {
@@ -204,6 +205,7 @@ Status Reader::SkipTuple() {
         CHRONICLE_ASSIGN_OR_RETURN(uint32_t size, ReadU32());
         CHRONICLE_RETURN_NOT_OK(Need(size));
         pos_ += size;
+        footprint += size;
         break;
       }
       default:
@@ -211,8 +213,9 @@ Status Reader::SkipTuple() {
                                   " in checkpoint");
     }
   }
-  return Status::OK();
+  return footprint;
 }
+
 
 }  // namespace checkpoint
 }  // namespace chronicle

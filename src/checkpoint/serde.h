@@ -80,8 +80,10 @@ class Reader {
   Result<Tuple> ReadTuple();
   Result<uint64_t> ReadVarint();
   // Advances past one tuple, applying exactly ReadTuple's checks (arity,
-  // value tags, bounds) without materializing any value.
-  Status SkipTuple();
+  // value tags, bounds) without materializing any value. Returns the
+  // tuple's in-memory footprint: its value slots plus its string bytes
+  // (sizes, not capacities, so it is a pure function of the encoding).
+  Result<uint64_t> SkipTuple();
 
  private:
   explicit Reader(std::string_view data) : data_(data) {}

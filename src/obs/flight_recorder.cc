@@ -1,37 +1,14 @@
 #include "obs/flight_recorder.h"
 
-#include <sys/stat.h>
 #include <sys/time.h>
-#include <unistd.h>
 
-#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
+
+#include "io/file.h"
 
 namespace chronicle {
 namespace obs {
-
-namespace {
-
-// mkdir -p: creates every missing component of `dir`.
-Status MakeDirs(const std::string& dir) {
-  if (dir.empty()) return Status::InvalidArgument("empty flight-recorder dir");
-  std::string path;
-  size_t pos = 0;
-  while (pos <= dir.size()) {
-    const size_t slash = dir.find('/', pos);
-    path = slash == std::string::npos ? dir : dir.substr(0, slash);
-    pos = slash == std::string::npos ? dir.size() + 1 : slash + 1;
-    if (path.empty()) continue;  // leading '/'
-    if (mkdir(path.c_str(), 0755) != 0 && errno != EEXIST) {
-      return Status::Internal("mkdir " + path + ": " + strerror(errno));
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 FlightRecorder::FlightRecorder(FlightRecorderOptions options)
     : options_(std::move(options)) {
@@ -100,30 +77,15 @@ Result<std::string> FlightRecorder::RecordSlowRequest(
 
 Result<std::string> FlightRecorder::WriteDump(const std::string& name,
                                               const std::string& body) {
-  CHRONICLE_RETURN_NOT_OK(MakeDirs(options_.dir));
+  CHRONICLE_RETURN_NOT_OK(io::CreateDirs(options_.dir));
   const std::string path = options_.dir + "/" + name;
-  const std::string tmp = path + ".tmp";
-
-  FILE* f = fopen(tmp.c_str(), "w");
-  if (f == nullptr) {
-    return Status::Internal("open " + tmp + ": " + strerror(errno));
-  }
-  const size_t n = fwrite(body.data(), 1, body.size(), f);
-  if (fclose(f) != 0 || n != body.size()) {
-    unlink(tmp.c_str());
-    return Status::Internal("write " + tmp + " failed");
-  }
-  // rename(2) is atomic within a filesystem: a reader never sees a
-  // half-written dump.
-  if (rename(tmp.c_str(), path.c_str()) != 0) {
-    const std::string err = strerror(errno);
-    unlink(tmp.c_str());
-    return Status::Internal("rename " + tmp + ": " + err);
-  }
+  // A reader never sees a half-written dump, and a dump outlives the crash
+  // it may be evidence for.
+  CHRONICLE_RETURN_NOT_OK(io::AtomicWriteFile(path, body));
   ++dumps_written_;
   written_.push_back(path);
   while (written_.size() > options_.max_dumps) {
-    unlink(written_.front().c_str());
+    (void)io::Fs().Remove(written_.front());
     written_.pop_front();
   }
   return path;

@@ -6,9 +6,10 @@
 // snapshot (the state it did it in), and the offending view's plan
 // EXPLAIN (where inside the plan the time went) — and hands the
 // pre-rendered JSON pieces here. The recorder writes them as ONE
-// timestamped JSON file, atomically (tmp + rename), into a configurable
-// directory with a bounded file count (oldest deleted), so a production
-// incident leaves artifacts without any reproduction run.
+// timestamped JSON file, atomically and durably (io::AtomicWriteFile),
+// into a configurable directory with a bounded file count (oldest
+// deleted), so a production incident leaves artifacts without any
+// reproduction run.
 //
 // The recorder itself is filesystem-only plumbing: it never reads
 // database state, so it stays dependency-free and testable in isolation.
@@ -62,8 +63,8 @@ class FlightRecorder {
   const FlightRecorderOptions& options() const { return options_; }
 
  private:
-  // Shared tail: atomic tmp+rename write of `body` as `name` in the dump
-  // dir, then the bounded-retention sweep.
+  // Shared tail: atomic write of `body` as `name` in the dump dir, then
+  // the bounded-retention sweep.
   Result<std::string> WriteDump(const std::string& name,
                                 const std::string& body);
 

@@ -170,8 +170,8 @@ Result<std::unique_ptr<SegmentReader>> SegmentReader::Open(
     return Status::DataLoss("segment " + path + " has zero rows");
   }
   // One full pass: proves every row decodes and the header's row count
-  // and SN range are consistent with the payload. SkipTuple applies
-  // ReadTuple's checks without building the tuples.
+  // and SN range are consistent with the payload, and totals raw_bytes.
+  // SkipTuple applies ReadTuple's checks without building the tuples.
   checkpoint::Reader r = checkpoint::Reader::Borrowed(payload);
   SeqNum prev = header.base_sn;
   for (uint32_t row = 0; row < header.row_count; ++row) {
@@ -180,7 +180,8 @@ Result<std::unique_ptr<SegmentReader>> SegmentReader::Open(
                               std::to_string(row));
     }
     CHRONICLE_ASSIGN_OR_RETURN(uint64_t delta, r.ReadVarint());
-    CHRONICLE_RETURN_NOT_OK(r.SkipTuple());
+    CHRONICLE_ASSIGN_OR_RETURN(uint64_t footprint, r.SkipTuple());
+    reader->raw_bytes_ += sizeof(ChronicleRow) + footprint;
     // A delta that wraps the SN space reads as a decrease.
     const SeqNum sn = prev + delta;
     if (sn < prev) {

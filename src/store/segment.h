@@ -16,8 +16,8 @@
 // cross-checked against the decoded payload at open, so any truncation,
 // tear, or bit flip fails closed with a clean Status.
 //
-// Files are written atomically (temp + fsync + rename); a crash mid-seal
-// leaves at most an ignorable *.tmp file, never a torn segment.
+// Files are written with io::AtomicWriteFile; a crash mid-seal leaves at
+// most a stray temp file (removed at attach), never a torn segment.
 
 #ifndef CHRONICLE_STORE_SEGMENT_H_
 #define CHRONICLE_STORE_SEGMENT_H_
@@ -40,9 +40,6 @@ inline constexpr uint32_t kSegmentMagic = 0x47455343;  // "CSEG" little-endian
 inline constexpr uint32_t kSegmentVersion = 1;
 inline constexpr size_t kSegmentHeaderBytes = 40;
 inline constexpr char kSegmentSuffix[] = ".seg";
-// Suffix of a segment image mid-write (wal::AtomicWriteFile's temp file);
-// store recovery deletes leftovers.
-inline constexpr char kSegmentTempSuffix[] = ".tmp";
 
 struct SegmentHeader {
   uint32_t chronicle_id = 0;
@@ -91,10 +88,11 @@ class SegmentEncoder {
 
 // An mmap-backed, fully validated segment. Open() checks magic, version,
 // size and CRC, and walks every row once (verifying that each decodes, the
-// row count, and SN monotonicity); after a successful Open the accessors
-// and Scan cannot fail. Open then releases the validated pages from the
-// process (they stay in the page cache), so a sealed segment costs no
-// resident memory until a scan faults its pages back in.
+// row count, and SN monotonicity, and totalling raw_bytes); after a
+// successful Open the accessors and Scan cannot fail. Open then releases
+// the validated pages from the process (they stay in the page cache), so a
+// sealed segment costs no resident memory until a scan faults its pages
+// back in.
 class SegmentReader {
  public:
   ~SegmentReader();
@@ -111,6 +109,10 @@ class SegmentReader {
   const std::string& path() const { return path_; }
   // Bytes on disk (header + payload).
   uint64_t file_bytes() const { return mapped_bytes_; }
+  // In-memory-equivalent bytes of the decoded rows: per row, the
+  // ChronicleRow plus its SkipTuple footprint. The denominator of the warm
+  // tier's compression ratio; a pure function of the file's content.
+  uint64_t raw_bytes() const { return raw_bytes_; }
 
   // Applies `fn` to every row, oldest first.
   template <typename Visitor>
@@ -149,6 +151,7 @@ class SegmentReader {
   SegmentHeader header_;
   const char* mapped_ = nullptr;
   size_t mapped_bytes_ = 0;
+  uint64_t raw_bytes_ = 0;
 };
 
 }  // namespace store

@@ -1,25 +1,13 @@
 #include "store/tiered_store.h"
 
 #include <algorithm>
-#include <filesystem>
 #include <utility>
 
 #include "common/stopwatch.h"
-#include "wal/wal_file.h"
+#include "io/file.h"
 
 namespace chronicle {
 namespace store {
-
-namespace fs = std::filesystem;
-
-uint64_t ApproxRowBytes(const ChronicleRow& row) {
-  uint64_t bytes =
-      sizeof(ChronicleRow) + row.values.capacity() * sizeof(Value);
-  for (const Value& v : row.values) {
-    if (v.is_string()) bytes += v.str().capacity();
-  }
-  return bytes;
-}
 
 TieredStore::TieredStore(StorageOptions options)
     : options_(std::move(options)) {
@@ -32,11 +20,10 @@ Result<std::unique_ptr<TieredStore>> TieredStore::Open(
   if (options.data_dir.empty()) {
     return Status::InvalidArgument("tiered store needs a data_dir");
   }
-  std::error_code ec;
-  fs::create_directories(options.data_dir, ec);
-  if (ec) {
+  Status created = io::CreateDirs(options.data_dir);
+  if (!created.ok()) {
     return Status::DataLoss("cannot create store directory '" +
-                            options.data_dir + "': " + ec.message());
+                            options.data_dir + "': " + created.message());
   }
   return std::unique_ptr<TieredStore>(new TieredStore(std::move(options)));
 }
@@ -50,32 +37,29 @@ Status TieredStore::AttachChronicle(ChronicleId id, const std::string& name) {
   ChronicleTier tier;
   tier.name = name;
   tier.dir = options_.data_dir + "/" + name;
-  std::error_code ec;
-  fs::create_directories(tier.dir, ec);
-  if (ec) {
+  Status created = io::CreateDirs(tier.dir);
+  if (!created.ok()) {
     return Status::DataLoss("cannot create segment directory '" + tier.dir +
-                            "': " + ec.message());
+                            "': " + created.message());
   }
 
   // Adopt what survived the last run: delete stray temp files, validate
   // every segment, and keep the longest valid suffix (newest backwards) so
   // the warm window stays contiguous.
-  std::vector<std::string> files;
-  for (const auto& entry : fs::directory_iterator(tier.dir, ec)) {
-    const std::string fname = entry.path().filename().string();
-    if (fname.size() > 4 &&
-        fname.compare(fname.size() - 4, 4, kSegmentTempSuffix) == 0) {
-      fs::remove(entry.path(), ec);
-      continue;
-    }
-    if (fname.size() > 4 &&
-        fname.compare(fname.size() - 4, 4, kSegmentSuffix) == 0) {
-      files.push_back(entry.path().string());
+  CHRONICLE_RETURN_NOT_OK(io::RemoveStrayTemps(tier.dir));
+  CHRONICLE_ASSIGN_OR_RETURN(std::vector<std::string> names,
+                             io::ListDir(tier.dir));
+  std::vector<std::string> files;  // name order == SN order
+  const size_t suffix = sizeof(kSegmentSuffix) - 1;
+  for (const std::string& name : names) {
+    if (name.size() > suffix &&
+        name.compare(name.size() - suffix, suffix, kSegmentSuffix) == 0) {
+      files.push_back(tier.dir + "/" + name);
     }
   }
-  std::sort(files.begin(), files.end());  // name order == SN order
 
-  std::vector<SegmentEntry> adopted;  // newest first while scanning back
+  // newest first while scanning back
+  std::vector<std::unique_ptr<SegmentReader>> adopted;
   SeqNum newer_base = 0;
   bool have_newer = false;
   size_t quarantined_from = 0;  // files[0, quarantined_from) get renamed
@@ -93,65 +77,55 @@ Status TieredStore::AttachChronicle(ChronicleId id, const std::string& name) {
     }
     newer_base = opened.value()->header().base_sn;
     have_newer = true;
-    SegmentEntry entry;
-    entry.reader = std::move(opened).value();
-    adopted.push_back(std::move(entry));
+    adopted.push_back(std::move(opened).value());
   }
   // Quarantine the corrupt segment and everything older: a hole would
   // break the contiguity of the retained prefix. Those rows fall back to
-  // the WAL tail (or expire — retention is a policy).
+  // the WAL tail (or expire — retention is a policy). No directory sync:
+  // a quarantine lost to a crash is simply redone at the next attach.
   for (size_t i = 0; i < quarantined_from; ++i) {
-    fs::rename(files[i], files[i] + ".quarantined", ec);
-    ++counters_.segments_quarantined;
+    if (io::Fs().Rename(files[i], files[i] + ".quarantined").ok()) {
+      ++counters_.segments_quarantined;
+    }
   }
 
   for (size_t i = adopted.size(); i-- > 0;) {  // back to oldest-first
-    SegmentEntry entry = std::move(adopted[i]);
-    const SegmentHeader& h = entry.reader->header();
-    Status scan = entry.reader->Scan([&entry](const ChronicleRow& row) {
-      entry.raw_bytes += ApproxRowBytes(row);
-    });
-    if (!scan.ok()) return scan;  // unreachable after a validated Open
-    tier.rows += h.row_count;
-    tier.bytes += entry.reader->file_bytes();
-    tier.raw_bytes += entry.raw_bytes;
-    tier.last_sealed_sn = std::max(tier.last_sealed_sn, h.last_sn);
-    tier.segments.emplace(h.base_sn, std::move(entry));
+    AddSegment(tier, std::move(adopted[i]));
   }
   EnforceBudget(tier);
   tiers_.emplace(id, std::move(tier));
   return Status::OK();
 }
 
+void TieredStore::AddSegment(ChronicleTier& tier,
+                             std::unique_ptr<SegmentReader> reader) {
+  const SegmentHeader& h = reader->header();
+  tier.rows += h.row_count;
+  tier.bytes += reader->file_bytes();
+  tier.raw_bytes += reader->raw_bytes();
+  tier.last_sealed_sn = std::max(tier.last_sealed_sn, h.last_sn);
+  tier.segments.emplace(h.base_sn, std::move(reader));
+}
+
 Status TieredStore::SealOne(ChronicleTier& tier, ChronicleId id,
                             const std::deque<ChronicleRow>& rows,
                             size_t begin, size_t end) {
   SegmentEncoder encoder(id);
-  uint64_t raw = 0;
   size_t payload = 0;
   for (size_t i = begin; i < end; ++i) {
     const SeqNum prev_sn = i == begin ? rows[i].sn : rows[i - 1].sn;
     payload += SegmentEncoder::RowBytes(rows[i], prev_sn);
-    raw += ApproxRowBytes(rows[i]);
   }
   encoder.Reserve(payload);
   for (size_t i = begin; i < end; ++i) encoder.Add(rows[i]);
   const SeqNum base = encoder.first_sn();
-  const SeqNum last = encoder.last_sn();
   const uint32_t count = encoder.rows();
   const std::string image = encoder.Finish();
   const std::string path = tier.dir + "/" + SegmentFileName(base);
-  CHRONICLE_RETURN_NOT_OK(wal::AtomicWriteFile(path, image));
+  CHRONICLE_RETURN_NOT_OK(io::AtomicWriteFile(path, image));
   CHRONICLE_ASSIGN_OR_RETURN(std::unique_ptr<SegmentReader> reader,
                              SegmentReader::Open(path));
-  SegmentEntry entry;
-  entry.reader = std::move(reader);
-  entry.raw_bytes = raw;
-  tier.rows += count;
-  tier.bytes += image.size();
-  tier.raw_bytes += raw;
-  tier.last_sealed_sn = std::max(tier.last_sealed_sn, last);
-  tier.segments.emplace(base, std::move(entry));
+  AddSegment(tier, std::move(reader));
   ++counters_.segments_sealed;
   counters_.rows_sealed += count;
   counters_.bytes_written += image.size();
@@ -223,20 +197,22 @@ void TieredStore::EnforceBudget(ChronicleTier& tier) {
          ((byte_budget != 0 && tier.bytes > byte_budget) ||
           (seg_budget != 0 && tier.segments.size() > seg_budget))) {
     auto oldest = tier.segments.begin();
-    const SegmentHeader& h = oldest->second.reader->header();
+    const SegmentReader& seg = *oldest->second;
+    const SegmentHeader& h = seg.header();
     tier.rows -= h.row_count;
-    tier.bytes -= oldest->second.reader->file_bytes();
-    tier.raw_bytes -= oldest->second.raw_bytes;
+    tier.bytes -= seg.file_bytes();
+    tier.raw_bytes -= seg.raw_bytes();
     ++counters_.segments_evicted;
     counters_.rows_evicted += h.row_count;
     if (metrics_ != nullptr) {
       metrics_->Count(ids_.segments_evicted, 1);
       metrics_->Count(ids_.rows_evicted, h.row_count);
     }
-    std::error_code ec;
-    const std::string path = oldest->second.reader->path();
+    // No directory sync: a segment evicted again after a crash is
+    // re-adopted and re-evicted at attach.
+    const std::string path = seg.path();
     tier.segments.erase(oldest);  // unmap before unlink
-    std::filesystem::remove(path, ec);
+    (void)io::Fs().Remove(path);
   }
 }
 
@@ -258,9 +234,9 @@ Status TieredStore::ScanWarm(
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = tiers_.find(id);
   if (it == tiers_.end()) return Status::OK();
-  for (const auto& [base, entry] : it->second.segments) {
+  for (const auto& [base, seg] : it->second.segments) {
     (void)base;
-    CHRONICLE_RETURN_NOT_OK(entry.reader->Scan(fn));
+    CHRONICLE_RETURN_NOT_OK(seg->Scan(fn));
   }
   return Status::OK();
 }
@@ -270,9 +246,9 @@ TieredStore::WarmCursor TieredStore::OpenWarmCursor(ChronicleId id) const {
   WarmCursor cursor;
   auto it = tiers_.find(id);
   if (it != tiers_.end()) {
-    for (const auto& [base, entry] : it->second.segments) {
+    for (const auto& [base, seg] : it->second.segments) {
       (void)base;
-      cursor.segments_.push_back(entry.reader.get());
+      cursor.segments_.push_back(seg.get());
     }
   }
   return cursor;
@@ -300,8 +276,7 @@ const SegmentReader* TieredStore::FindSegmentFor(ChronicleId id,
   auto seg = segments.upper_bound(sn);
   if (seg == segments.begin()) return nullptr;
   --seg;
-  return seg->second.reader->header().last_sn >= sn ? seg->second.reader.get()
-                                                    : nullptr;
+  return seg->second->header().last_sn >= sn ? seg->second.get() : nullptr;
 }
 
 StoreMetricIds TieredStore::RegisterMetrics(obs::MetricsRegistry* metrics) {

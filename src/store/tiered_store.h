@@ -76,7 +76,7 @@ struct WarmTierInfo {
   uint64_t segments = 0;
   uint64_t rows = 0;
   uint64_t bytes = 0;      // on-disk (encoded) bytes
-  uint64_t raw_bytes = 0;  // ApproxTupleBytes-equivalent of the same rows
+  uint64_t raw_bytes = 0;  // in-memory-equivalent bytes of the same rows
   SeqNum last_sealed_sn = 0;
 };
 
@@ -88,8 +88,8 @@ class TieredStore : public TierSink {
   // Registers a chronicle and adopts any segments already on disk for it
   // (recovery). Corrupt segments are quarantined (renamed *.quarantined);
   // because the retained warm window must stay contiguous, segments older
-  // than a corrupt one are quarantined with it. Stray *.tmp files from a
-  // crash mid-seal are deleted.
+  // than a corrupt one are quarantined with it. Stray temp files from a
+  // crash mid-seal are deleted (io::RemoveStrayTemps).
   Status AttachChronicle(ChronicleId id, const std::string& name);
 
   // TierSink:
@@ -140,22 +140,21 @@ class TieredStore : public TierSink {
  private:
   explicit TieredStore(StorageOptions options);
 
-  struct SegmentEntry {
-    std::unique_ptr<SegmentReader> reader;
-    uint64_t raw_bytes = 0;  // in-memory-equivalent size of its rows
-  };
-
   struct ChronicleTier {
     std::string name;
     std::string dir;
     // Keyed by base SN; iteration order is scan order.
-    std::map<SeqNum, SegmentEntry> segments;
+    std::map<SeqNum, std::unique_ptr<SegmentReader>> segments;
     uint64_t rows = 0;
     uint64_t bytes = 0;
     uint64_t raw_bytes = 0;
     SeqNum last_sealed_sn = 0;
   };
 
+  // Adds a validated segment (sealed or adopted) to the tier's index and
+  // totals.
+  static void AddSegment(ChronicleTier& tier,
+                         std::unique_ptr<SegmentReader> reader);
   // Seals one encoder's worth of rows [begin, end) as a single segment.
   Status SealOne(ChronicleTier& tier, ChronicleId id,
                  const std::deque<ChronicleRow>& rows, size_t begin,
@@ -171,10 +170,6 @@ class TieredStore : public TierSink {
   obs::MetricsRegistry* metrics_ = nullptr;
   StoreMetricIds ids_;
 };
-
-// In-memory-equivalent footprint of one row (matches
-// Chronicle::ApproxTupleBytes); the denominator of the compression ratio.
-uint64_t ApproxRowBytes(const ChronicleRow& row);
 
 }  // namespace store
 }  // namespace chronicle

@@ -58,7 +58,7 @@ Result<RecoveryReport> Recover(const std::string& dir,
   CHRONICLE_ASSIGN_OR_RETURN(std::vector<WalDirEntry> checkpoints,
                              ListCheckpoints(dir));
   for (auto it = checkpoints.rbegin(); it != checkpoints.rend(); ++it) {
-    Result<std::string> bytes = ReadFileToString(it->path);
+    Result<std::string> bytes = io::ReadFile(it->path);
     if (!bytes.ok()) {
       ++report.checkpoints_skipped;
       continue;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <filesystem>
 
 #include "checkpoint/checkpoint.h"
 #include "common/crc32.h"
@@ -12,8 +11,6 @@ namespace chronicle {
 namespace wal {
 
 namespace {
-
-namespace fs = std::filesystem;
 
 constexpr uint32_t kSegmentMagic = 0x4357414C;     // "CWAL"
 constexpr uint32_t kSegmentVersion = 1;
@@ -66,16 +63,13 @@ bool ParseLsnFileName(const std::string& name, const std::string& prefix,
 Result<std::vector<WalDirEntry>> ListByPattern(const std::string& dir,
                                                const std::string& prefix,
                                                const std::string& suffix) {
+  CHRONICLE_ASSIGN_OR_RETURN(std::vector<std::string> names,
+                             io::ListDir(dir));
   std::vector<WalDirEntry> entries;
-  std::error_code ec;
-  fs::directory_iterator it(dir, ec);
-  if (ec) return entries;  // missing directory: nothing to list
-  for (const auto& entry : it) {
+  for (const std::string& name : names) {
     uint64_t lsn = 0;
-    if (!entry.is_regular_file(ec)) continue;
-    if (ParseLsnFileName(entry.path().filename().string(), prefix, suffix,
-                         &lsn)) {
-      entries.push_back({entry.path().string(), lsn});
+    if (ParseLsnFileName(name, prefix, suffix, &lsn)) {
+      entries.push_back({dir + "/" + name, lsn});
     }
   }
   std::sort(entries.begin(), entries.end(),
@@ -109,11 +103,11 @@ Result<std::vector<WalDirEntry>> ListCheckpoints(const std::string& dir) {
 }
 
 Result<SegmentContents> ReadSegment(const std::string& path) {
-  CHRONICLE_ASSIGN_OR_RETURN(std::string data, ReadFileToString(path));
+  CHRONICLE_ASSIGN_OR_RETURN(std::string data, io::ReadFile(path));
   SegmentContents seg;
   uint64_t name_lsn = 0;
-  if (!ParseLsnFileName(fs::path(path).filename().string(), "wal-", ".log",
-                        &name_lsn)) {
+  if (!ParseLsnFileName(path.substr(path.find_last_of('/') + 1), "wal-",
+                        ".log", &name_lsn)) {
     return Status::InvalidArgument("'" + path + "' is not a wal segment name");
   }
   seg.first_lsn = name_lsn;
@@ -280,17 +274,13 @@ Wal::~Wal() {
 
 Result<std::unique_ptr<Wal>> Wal::Open(const std::string& dir,
                                        WalOptions options) {
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  if (ec) {
+  Status created = io::CreateDirs(dir);
+  if (!created.ok()) {
     return Status::InvalidArgument("cannot create wal directory '" + dir +
-                                   "': " + ec.message());
+                                   "': " + created.message());
   }
-  if (!options.file_factory) {
-    options.file_factory = [](const std::string& path) {
-      return OpenWritableFile(path);
-    };
-  }
+  // A crash mid-checkpoint leaves its temp file; it never holds data.
+  CHRONICLE_RETURN_NOT_OK(io::RemoveStrayTemps(dir));
   std::unique_ptr<Wal> wal(new Wal(dir, std::move(options)));
 
   // Resume the LSN sequence past everything already on disk, so a re-opened
@@ -321,13 +311,22 @@ Status Wal::OpenSegment(uint64_t first_lsn) {
     CHRONICLE_RETURN_NOT_OK(file_->Close());
     file_.reset();
   }
+  // Until the new segment is in place the log takes no records: one
+  // without its header would be unreadable.
+  closed_ = true;
   const std::string path = dir_ + "/" + WalSegmentFileName(first_lsn);
-  CHRONICLE_ASSIGN_OR_RETURN(file_, options_.file_factory(path));
+  CHRONICLE_ASSIGN_OR_RETURN(std::unique_ptr<io::WritableFile> file,
+                             io::Fs().NewWritableFile(path));
+  // Recovery finds segments by listing the directory: the new entry must
+  // be durable before any record in it is acknowledged.
+  CHRONICLE_RETURN_NOT_OK(io::Fs().SyncDir(dir_));
   std::string header;
   PutU32(&header, kSegmentMagic);
   PutU32(&header, kSegmentVersion);
   PutU64(&header, first_lsn);
-  CHRONICLE_RETURN_NOT_OK(file_->Append(header));
+  CHRONICLE_RETURN_NOT_OK(file->Append(header));
+  file_ = std::move(file);
+  closed_ = false;
   segment_bytes_written_ = header.size();
   ++stats_.segments_created;
   return Status::OK();
@@ -423,20 +422,22 @@ Status Wal::WriteCheckpoint(const ChronicleDatabase& db) {
                              checkpoint::SaveDatabase(db, watermark));
   const std::string path = dir_ + "/" + CheckpointFileName(watermark);
   CHRONICLE_RETURN_NOT_OK(
-      AtomicWriteFile(path, WrapCheckpointImage(watermark, image)));
+      io::AtomicWriteFile(path, WrapCheckpointImage(watermark, image)));
   ++stats_.checkpoints_written;
   return TruncateObsolete(watermark);
 }
 
 Status Wal::TruncateObsolete(uint64_t watermark) {
-  std::error_code ec;
+  // Removals need no directory sync: a file that reappears after a crash is
+  // an older checkpoint or a segment below every retained watermark, which
+  // recovery already tolerates.
   // Prune old checkpoints beyond the configured keep-count.
   CHRONICLE_ASSIGN_OR_RETURN(std::vector<WalDirEntry> checkpoints,
                              ListCheckpoints(dir_));
   const size_t keep = std::max<size_t>(options_.checkpoints_to_keep, 1);
   if (checkpoints.size() > keep) {
     for (size_t i = 0; i + keep < checkpoints.size(); ++i) {
-      fs::remove(checkpoints[i].path, ec);
+      (void)io::Fs().Remove(checkpoints[i].path);
     }
     checkpoints.erase(checkpoints.begin(),
                       checkpoints.begin() +
@@ -456,7 +457,7 @@ Status Wal::TruncateObsolete(uint64_t watermark) {
                              ListWalSegments(dir_));
   for (size_t i = 0; i + 1 < segments.size(); ++i) {
     if (segments[i + 1].lsn <= horizon + 1) {
-      if (fs::remove(segments[i].path, ec) && !ec) ++stats_.segments_removed;
+      if (io::Fs().Remove(segments[i].path).ok()) ++stats_.segments_removed;
     }
   }
   return Status::OK();

@@ -37,8 +37,8 @@
 
 #include "common/status.h"
 #include "db/database.h"
+#include "io/file.h"
 #include "obs/stats.h"
-#include "wal/wal_file.h"
 #include "wal/wal_record.h"
 
 namespace chronicle {
@@ -63,18 +63,16 @@ struct WalOptions {
   // How many checkpoint files to keep (the newest plus N-1 predecessors,
   // as insurance against a latent bad write in the newest).
   size_t checkpoints_to_keep = 2;
-  // Segment file factory; tests substitute fault-injecting files. Defaults
-  // to OpenWritableFile.
-  FileFactory file_factory;
 };
 
 // The log manager: owns the active segment, assigns LSNs, and runs the
 // checkpoint + truncation protocol. Single-writer; not thread-safe.
 class Wal {
  public:
-  // Opens the log in `dir` (created if missing). Scans existing segments
-  // and checkpoints to resume the LSN sequence past everything already on
-  // disk, then starts a fresh segment.
+  // Opens the log in `dir` (created if missing). Deletes the temp file a
+  // crash mid-checkpoint leaves, scans existing segments and checkpoints to
+  // resume the LSN sequence past everything already on disk, then starts a
+  // fresh segment.
   static Result<std::unique_ptr<Wal>> Open(const std::string& dir,
                                            WalOptions options = {});
 
@@ -145,7 +143,7 @@ class Wal {
 
   std::string dir_;
   WalOptions options_;
-  std::unique_ptr<WritableFile> file_;
+  std::unique_ptr<io::WritableFile> file_;
   uint64_t next_lsn_ = 1;
   uint64_t last_synced_lsn_ = 0;
   uint64_t segment_bytes_written_ = 0;

@@ -8,9 +8,9 @@
 
 #include <filesystem>
 
+#include "io/file.h"
 #include "wal/recovery.h"
 #include "wal/wal.h"
-#include "wal/wal_file.h"
 #include "workload/call_records.h"
 
 namespace chronicle {
@@ -158,10 +158,10 @@ TEST(RecoveryTest, TornFinalRecordRecoversEverythingBeforeIt) {
   auto segments = ListWalSegments(dir.path).value();
   ASSERT_FALSE(segments.empty());
   const std::string& last = segments.back().path;
-  std::string bytes = ReadFileToString(last).value();
-  ASSERT_TRUE(
-      AtomicWriteFile(last, std::string_view(bytes).substr(0, bytes.size() - 3))
-          .ok());
+  std::string bytes = io::ReadFile(last).value();
+  ASSERT_TRUE(io::AtomicWriteFile(
+                  last, std::string_view(bytes).substr(0, bytes.size() - 3))
+                  .ok());
 
   ChronicleDatabase recovered;
   ApplyDdl(&recovered);
@@ -192,9 +192,9 @@ TEST(RecoveryTest, CorruptNewestCheckpointFallsBackToOlder) {
   auto checkpoints = ListCheckpoints(dir.path).value();
   ASSERT_EQ(checkpoints.size(), 2u);
   // Vandalize the newest checkpoint.
-  std::string bytes = ReadFileToString(checkpoints.back().path).value();
+  std::string bytes = io::ReadFile(checkpoints.back().path).value();
   bytes[bytes.size() / 2] ^= 0x01;
-  ASSERT_TRUE(AtomicWriteFile(checkpoints.back().path, bytes).ok());
+  ASSERT_TRUE(io::AtomicWriteFile(checkpoints.back().path, bytes).ok());
 
   ChronicleDatabase recovered;
   ApplyDdl(&recovered);

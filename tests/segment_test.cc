@@ -9,8 +9,8 @@
 
 #include "checkpoint/serde.h"
 #include "common/crc32.h"
+#include "io/file.h"
 #include "store/segment.h"
-#include "wal/wal_file.h"
 
 namespace chronicle {
 namespace store {
@@ -41,7 +41,7 @@ std::string WriteSegment(const std::string& dir,
   for (const ChronicleRow& row : rows) enc.Add(row);
   const std::string path =
       (fs::path(dir) / SegmentFileName(enc.first_sn())).string();
-  EXPECT_TRUE(wal::AtomicWriteFile(path, enc.Finish()).ok());
+  EXPECT_TRUE(io::AtomicWriteFile(path, enc.Finish()).ok());
   return path;
 }
 
@@ -164,7 +164,7 @@ TEST(SegmentAtomicWrite, LeavesNoTempFileBehind) {
   WriteSegment(dir.path, {MakeRow(1, 1, "a")});
   size_t tmp = 0, seg = 0;
   for (const auto& entry : fs::directory_iterator(dir.path)) {
-    if (entry.path().extension() == kSegmentTempSuffix) ++tmp;
+    if (entry.path().extension() == io::kTempSuffix) ++tmp;
     if (entry.path().extension() == kSegmentSuffix) ++seg;
   }
   EXPECT_EQ(tmp, 0u);
@@ -193,7 +193,7 @@ TEST(SegmentOpen, BadMagicFailsClosed) {
     data.assign(std::istreambuf_iterator<char>(in), {});
   }
   data[0] = 'X';
-  ASSERT_TRUE(wal::AtomicWriteFile(path, data).ok());
+  ASSERT_TRUE(io::AtomicWriteFile(path, data).ok());
   auto reader = SegmentReader::Open(path);
   EXPECT_FALSE(reader.ok());
 }
@@ -231,7 +231,7 @@ TEST(SegmentOpen, WrappingSnDeltaFailsClosed) {
   const std::string path = (fs::path(dir.path) / "seg.seg").string();
   const uint64_t wrap = ~uint64_t{0} - 49;  // 100 + wrap == 50 (mod 2^64)
   ASSERT_TRUE(
-      wal::AtomicWriteFile(path, HandBuiltSegment(100, 50, {0, wrap})).ok());
+      io::AtomicWriteFile(path, HandBuiltSegment(100, 50, {0, wrap})).ok());
   auto reader = SegmentReader::Open(path);
   ASSERT_FALSE(reader.ok());
   EXPECT_NE(reader.status().ToString().find("decreasing SNs"),

@@ -146,7 +146,7 @@ TEST(StoreRecovery, KillMidSegmentLeavesTempAndConverges) {
   ScratchDir crash("midseg"), clean("midseg_ref");
   const int kSteps = 40;
   RunAndCrash(crash, kSteps);
-  // Simulate dying inside wal::AtomicWriteFile: a partial temp file
+  // Simulate dying inside io::AtomicWriteFile: a partial temp file
   // survives.
   {
     std::ofstream tmp(crash.store_dir() + "/calls/seg-000.tmp",

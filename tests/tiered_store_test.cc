@@ -1,6 +1,7 @@
 // TieredStore: hot→warm spill through the chronicle's tier sink, scans
 // across both tiers, SN index lookups, budget-driven eviction, and
-// adoption (recovery) of segments left by a previous store instance.
+// adoption (recovery) of segments left by a previous store instance, and
+// the store's use of the io layer (directory syncs, seal failures).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -8,6 +9,8 @@
 #include <filesystem>
 #include <vector>
 
+#include "io/file.h"
+#include "io/recording_fs.h"
 #include "storage/chronicle_group.h"
 #include "store/tiered_store.h"
 
@@ -256,6 +259,117 @@ TEST(TieredStore, SealNeverSplitsOneSn) {
       prev_last = seg->header().last_sn;
     }
   }
+}
+
+// Satellite of the warm-tier accounting: adoption totals raw_bytes during
+// validation, and must land on exactly what sealing counted.
+TEST(TieredStore, ReopenKeepsWarmByteCounts) {
+  ScratchDir dir("bytes");
+  const StorageOptions options = SmallSegments(dir.path);
+  WarmTierInfo before;
+  {
+    auto store = TieredStore::Open(options);
+    ASSERT_TRUE(store.ok());
+    ChronicleGroup group("g");
+    ChronicleId id = group
+                         .CreateChronicle("calls", TwoColSchema(),
+                                          RetentionPolicy::Tiered(8))
+                         .value();
+    ASSERT_TRUE((*store)->AttachChronicle(id, "calls").ok());
+    group.GetChronicle(id).value()->AttachTierSink(store->get(), 4);
+    for (int i = 1; i <= 40; ++i) {
+      // Short (inline) and long (heap) strings, in a tuple built with
+      // spare capacity, as an ingest path may hand them over.
+      Tuple row;
+      row.reserve(4);
+      row.push_back(Value(i));
+      row.push_back(Value(std::string(i % 2 == 0 ? 3 : 40, 'x')));
+      ASSERT_TRUE(group.Append(id, {std::move(row)}).ok());
+    }
+    before = (*store)->TierOf(id);
+    ASSERT_GT(before.segments, 0u);
+  }
+  auto store = TieredStore::Open(options);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->AttachChronicle(0, "calls").ok());
+  const WarmTierInfo after = (*store)->TierOf(0);
+  EXPECT_EQ(after.segments, before.segments);
+  EXPECT_EQ(after.rows, before.rows);
+  EXPECT_EQ(after.bytes, before.bytes);
+  EXPECT_EQ(after.raw_bytes, before.raw_bytes);
+}
+
+// Regression: a new tier directory's entry was never synced into its
+// parent, so a crash could drop the directory with every sealed segment.
+TEST(TieredStore, NewTierDirectoryIsSyncedIntoItsParent) {
+  ScratchDir dir("dirsync");
+  io::RecordingFileSystem recorder;
+  io::ScopedFileSystem scoped(&recorder);
+  StorageOptions options = SmallSegments(dir.path + "/store");
+  auto store = TieredStore::Open(options);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->AttachChronicle(0, "calls").ok());
+  using K = io::FileOp::Kind;
+  std::vector<std::pair<K, std::string>> got;
+  for (const io::FileOp& op : recorder.ops()) {
+    got.emplace_back(op.kind, op.path);
+  }
+  const std::vector<std::pair<K, std::string>> want = {
+      {K::kMakeDir, options.data_dir},
+      {K::kSyncDir, dir.path},
+      {K::kMakeDir, options.data_dir + "/calls"},
+      {K::kSyncDir, options.data_dir}};
+  EXPECT_EQ(got, want);
+}
+
+TEST(TieredStore, FailedDirectorySyncFailsTheSeal) {
+  ScratchDir dir("seal_dirsync");
+  const StorageOptions options = SmallSegments(dir.path);
+  auto store = TieredStore::Open(options);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->AttachChronicle(0, "calls").ok());
+  std::deque<ChronicleRow> rows;
+  for (int i = 1; i <= 4; ++i) {
+    rows.push_back({static_cast<SeqNum>(i), Tuple{Value(i), Value("v")}});
+  }
+  io::FaultPlan plan;
+  plan.kind = io::FaultKind::kFailDirSync;
+  plan.path_contains = dir.path + "/calls";
+  io::RecordingFileSystem faulty(plan);
+  {
+    io::ScopedFileSystem scoped(&faulty);
+    EXPECT_TRUE((*store)->SealRows(0, rows, rows.size()).IsDataLoss());
+  }
+  EXPECT_TRUE(faulty.fault_triggered());
+  EXPECT_EQ((*store)->counters().seal_failures, 1u);
+  EXPECT_EQ((*store)->counters().segments_sealed, 0u);
+  EXPECT_EQ((*store)->last_sealed_sn(0), 0u);
+  // The retry, with a healthy disk, seals the same rows.
+  ASSERT_TRUE((*store)->SealRows(0, rows, rows.size()).ok());
+  EXPECT_EQ((*store)->last_sealed_sn(0), 4u);
+  EXPECT_EQ((*store)->counters().seal_failures, 1u);
+}
+
+// Regression: a quarantine whose rename failed was counted anyway.
+TEST(TieredStore, QuarantineCountsOnlyRenamesThatSucceed) {
+  ScratchDir dir("quarantine");
+  const StorageOptions options = SmallSegments(dir.path);
+  const std::string seg = dir.path + "/calls/" + SegmentFileName(1);
+  fs::create_directories(dir.path + "/calls");
+  ASSERT_TRUE(io::AtomicWriteFile(seg, "not a segment").ok());
+  // A directory squats on the quarantine name, so the rename fails.
+  fs::create_directories(seg + ".quarantined/squatter");
+  auto store = TieredStore::Open(options);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->AttachChronicle(0, "calls").ok());
+  EXPECT_EQ((*store)->counters().segments_quarantined, 0u);
+  EXPECT_EQ((*store)->WarmRows(0), 0u);
+  fs::remove_all(seg + ".quarantined");
+  auto retry = TieredStore::Open(options);
+  ASSERT_TRUE(retry.ok());
+  ASSERT_TRUE((*retry)->AttachChronicle(0, "calls").ok());
+  EXPECT_EQ((*retry)->counters().segments_quarantined, 1u);
+  EXPECT_TRUE(fs::exists(seg + ".quarantined"));
 }
 
 TEST(TieredStore, OpenRejectsEmptyDataDir) {

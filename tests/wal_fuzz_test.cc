@@ -10,8 +10,8 @@
 #include <filesystem>
 
 #include "common/random.h"
+#include "io/file.h"
 #include "wal/wal.h"
-#include "wal/wal_file.h"
 #include "wal/wal_record.h"
 
 namespace chronicle {
@@ -166,14 +166,14 @@ TEST(WalFuzzTest, SingleByteCorruptionsYieldExactPrefixOrDataLoss) {
   const std::vector<WalRecord> truth = BuildLog(dir.path, &rng, 25);
   auto segments = ListWalSegments(dir.path).value();
   ASSERT_EQ(segments.size(), 1u);
-  const std::string pristine = ReadFileToString(segments[0].path).value();
+  const std::string pristine = io::ReadFile(segments[0].path).value();
 
   int full_replays = 0, partial_replays = 0, data_losses = 0;
   for (int trial = 0; trial < 300; ++trial) {
     std::string corrupted = pristine;
     const size_t pos = rng.Uniform(corrupted.size());
     corrupted[pos] ^= static_cast<char>(1 << rng.Uniform(8));
-    ASSERT_TRUE(AtomicWriteFile(segments[0].path, corrupted).ok());
+    ASSERT_TRUE(io::AtomicWriteFile(segments[0].path, corrupted).ok());
 
     const int applied = ReplayAndCheckPrefix(dir.path, truth);
     if (applied < 0) {
@@ -201,12 +201,12 @@ TEST(WalFuzzTest, TruncationsAtEveryBoundaryStopCleanly) {
   const std::vector<WalRecord> truth = BuildLog(dir.path, &rng, 15);
   auto segments = ListWalSegments(dir.path).value();
   ASSERT_EQ(segments.size(), 1u);
-  const std::string pristine = ReadFileToString(segments[0].path).value();
+  const std::string pristine = io::ReadFile(segments[0].path).value();
 
   int last_applied = -1;
   for (size_t cut = 0; cut <= pristine.size(); cut += 3) {
     ASSERT_TRUE(
-        AtomicWriteFile(segments[0].path, pristine.substr(0, cut)).ok());
+        io::AtomicWriteFile(segments[0].path, pristine.substr(0, cut)).ok());
     const int applied = ReplayAndCheckPrefix(dir.path, truth);
     ASSERT_GE(applied, 0) << "cut at " << cut;  // truncation is a clean tail
     // Longer prefixes never surface fewer records.
@@ -227,7 +227,8 @@ TEST(WalFuzzTest, GarbageSegmentFilesNeverCrashReplay) {
       garbage.push_back(static_cast<char>(rng.Uniform(256)));
     }
     ASSERT_TRUE(
-        AtomicWriteFile(dir.path + "/" + WalSegmentFileName(1), garbage).ok());
+        io::AtomicWriteFile(dir.path + "/" + WalSegmentFileName(1), garbage)
+            .ok());
     uint64_t applied = 0;
     WalReplayStats stats;
     Status st = ReplayWal(
@@ -274,20 +275,20 @@ TEST(WalFuzzTest, CorruptionAcrossSegmentsIsPrefixOrDataLoss) {
   ASSERT_GT(segments.size(), 2u);
   std::vector<std::string> pristine;
   for (const auto& s : segments) {
-    pristine.push_back(ReadFileToString(s.path).value());
+    pristine.push_back(io::ReadFile(s.path).value());
   }
 
   int data_losses = 0, clean_tails = 0;
   for (int trial = 0; trial < 150; ++trial) {
     // Restore all segments, then corrupt one byte of one of them.
     for (size_t i = 0; i < segments.size(); ++i) {
-      ASSERT_TRUE(AtomicWriteFile(segments[i].path, pristine[i]).ok());
+      ASSERT_TRUE(io::AtomicWriteFile(segments[i].path, pristine[i]).ok());
     }
     const size_t victim = rng.Uniform(segments.size());
     std::string corrupted = pristine[victim];
     corrupted[rng.Uniform(corrupted.size())] ^=
         static_cast<char>(1 << rng.Uniform(8));
-    ASSERT_TRUE(AtomicWriteFile(segments[victim].path, corrupted).ok());
+    ASSERT_TRUE(io::AtomicWriteFile(segments[victim].path, corrupted).ok());
 
     const int applied = ReplayAndCheckPrefix(dir.path, truth);
     if (applied < 0) {

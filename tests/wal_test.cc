@@ -1,6 +1,7 @@
 // Unit tests for the WAL building blocks: CRC32C, record serde, segment
 // framing, rotation, group commit, the checkpoint + truncation protocol,
-// and the fault-injection file wrapper.
+// the recording file system's fault injection, and the WAL's use of the
+// io layer (directory syncs, stray-temp cleanup, failed syncs).
 
 #include <gtest/gtest.h>
 
@@ -13,9 +14,10 @@
 #include "common/crc32.h"
 #include "common/crc32_internal.h"
 #include "common/random.h"
+#include "io/file.h"
+#include "io/recording_fs.h"
 #include "wal/recovery.h"
 #include "wal/wal.h"
-#include "wal/wal_file.h"
 #include "wal/wal_record.h"
 #include "workload/call_records.h"
 
@@ -292,62 +294,217 @@ TEST(WalTest, CheckpointTruncatesObsoleteSegments) {
             db.ScanView("minutes").value());
 }
 
+// Opens `path` through `fs`, which applies its fault plan to it.
+std::unique_ptr<io::WritableFile> FaultedFile(io::RecordingFileSystem* fs,
+                                              const std::string& path) {
+  auto file = fs->NewWritableFile(path);
+  EXPECT_TRUE(file.ok());
+  return std::move(file).value();
+}
+
+io::FaultPlan Plan(io::FaultKind kind, uint64_t trigger_offset) {
+  io::FaultPlan plan;
+  plan.kind = kind;
+  plan.trigger_offset = trigger_offset;
+  return plan;
+}
+
 TEST(FaultInjectingFileTest, TornWriteKeepsPrefixOnly) {
   ScratchDir dir("torn");
   const std::string path = dir.path + "/f";
-  auto base = OpenWritableFile(path);
-  ASSERT_TRUE(base.ok());
-  FaultPlan plan;
-  plan.kind = FaultKind::kTornWrite;
-  plan.trigger_offset = 10;
-  FaultInjectingFile f(std::move(base).value(), plan);
-  ASSERT_TRUE(f.Append("0123456789").ok());   // exactly at the edge
-  ASSERT_TRUE(f.Append("abcdef").ok());       // silently dropped
-  ASSERT_TRUE(f.Sync().ok());                 // the crash "lies"
-  ASSERT_TRUE(f.Close().ok());
-  EXPECT_TRUE(f.fault_triggered());
-  EXPECT_EQ(ReadFileToString(path).value(), "0123456789");
+  io::RecordingFileSystem fs(Plan(io::FaultKind::kTornWrite, 10));
+  auto f = FaultedFile(&fs, path);
+  ASSERT_TRUE(f->Append("0123456789").ok());   // exactly at the edge
+  ASSERT_TRUE(f->Append("abcdef").ok());       // silently dropped
+  ASSERT_TRUE(f->Sync().ok());                 // the crash "lies"
+  ASSERT_TRUE(f->Close().ok());
+  EXPECT_TRUE(fs.fault_triggered());
+  EXPECT_EQ(io::ReadFile(path).value(), "0123456789");
 }
 
 TEST(FaultInjectingFileTest, TornWriteMidAppendKeepsPartialBytes) {
   ScratchDir dir("torn_mid");
   const std::string path = dir.path + "/f";
-  auto base = OpenWritableFile(path);
-  ASSERT_TRUE(base.ok());
-  FaultPlan plan;
-  plan.kind = FaultKind::kTornWrite;
-  plan.trigger_offset = 4;
-  FaultInjectingFile f(std::move(base).value(), plan);
-  ASSERT_TRUE(f.Append("0123456789").ok());
-  ASSERT_TRUE(f.Close().ok());
-  EXPECT_EQ(ReadFileToString(path).value(), "0123");
+  io::RecordingFileSystem fs(Plan(io::FaultKind::kTornWrite, 4));
+  auto f = FaultedFile(&fs, path);
+  ASSERT_TRUE(f->Append("0123456789").ok());
+  ASSERT_TRUE(f->Close().ok());
+  EXPECT_EQ(io::ReadFile(path).value(), "0123");
 }
 
 TEST(FaultInjectingFileTest, BitFlipCorruptsOneBit) {
   ScratchDir dir("flip");
   const std::string path = dir.path + "/f";
-  auto base = OpenWritableFile(path);
-  ASSERT_TRUE(base.ok());
-  FaultPlan plan;
-  plan.kind = FaultKind::kBitFlip;
-  plan.trigger_offset = 2;
+  io::FaultPlan plan = Plan(io::FaultKind::kBitFlip, 2);
   plan.bit = 0;
-  FaultInjectingFile f(std::move(base).value(), plan);
-  ASSERT_TRUE(f.Append("aaaa").ok());
-  ASSERT_TRUE(f.Close().ok());
-  EXPECT_EQ(ReadFileToString(path).value(), std::string("aa`a"));
+  io::RecordingFileSystem fs(plan);
+  auto f = FaultedFile(&fs, path);
+  ASSERT_TRUE(f->Append("aaaa").ok());
+  ASSERT_TRUE(f->Close().ok());
+  EXPECT_EQ(io::ReadFile(path).value(), std::string("aa`a"));
 }
 
 TEST(FaultInjectingFileTest, FailSyncReportsDataLoss) {
   ScratchDir dir("failsync");
-  auto base = OpenWritableFile(dir.path + "/f");
-  ASSERT_TRUE(base.ok());
-  FaultPlan plan;
-  plan.kind = FaultKind::kFailSync;
-  plan.trigger_offset = 0;
-  FaultInjectingFile f(std::move(base).value(), plan);
-  ASSERT_TRUE(f.Append("x").ok());
-  EXPECT_TRUE(f.Sync().IsDataLoss());
+  io::RecordingFileSystem fs(Plan(io::FaultKind::kFailSync, 0));
+  auto f = FaultedFile(&fs, dir.path + "/f");
+  ASSERT_TRUE(f->Append("x").ok());
+  EXPECT_TRUE(f->Sync().IsDataLoss());
+}
+
+// The recorded log is what the sweep replays: every completed durable
+// operation, in order, with the bytes that reached the file.
+TEST(FaultInjectingFileTest, RecordsDurableOperationsInOrder) {
+  ScratchDir dir("record");
+  io::RecordingFileSystem fs;
+  io::ScopedFileSystem scoped(&fs);
+  ASSERT_TRUE(io::CreateDirs(dir.path + "/a/b").ok());
+  ASSERT_TRUE(io::AtomicWriteFile(dir.path + "/a/b/f", "hello").ok());
+  ASSERT_TRUE(io::Fs().Remove(dir.path + "/a/b/f").ok());
+  using K = io::FileOp::Kind;
+  std::vector<std::pair<K, std::string>> got;
+  for (const io::FileOp& op : fs.ops()) got.emplace_back(op.kind, op.path);
+  const std::string a = dir.path + "/a", b = a + "/b", f = b + "/f";
+  const std::vector<std::pair<K, std::string>> want = {
+      {K::kMakeDir, a},          {K::kSyncDir, dir.path},
+      {K::kMakeDir, b},          {K::kSyncDir, a},
+      {K::kCreate, f + ".tmp"},  {K::kAppend, f + ".tmp"},
+      {K::kSync, f + ".tmp"},    {K::kRename, f + ".tmp"},
+      {K::kSyncDir, b},          {K::kRemove, f}};
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(fs.ops()[5].data, "hello");
+  EXPECT_EQ(fs.ops()[7].target, f);
+}
+
+TEST(AtomicWriteFileTest, FailedDirectorySyncIsAnError) {
+  ScratchDir dir("dirsync");
+  io::FaultPlan plan;
+  plan.kind = io::FaultKind::kFailDirSync;
+  io::RecordingFileSystem fs(plan);
+  io::ScopedFileSystem scoped(&fs);
+  EXPECT_TRUE(io::AtomicWriteFile(dir.path + "/f", "x").IsDataLoss());
+  EXPECT_TRUE(fs.fault_triggered());
+}
+
+// Regression: a new segment's directory entry was never synced, so a
+// crash could lose a whole segment of acknowledged records.
+TEST(WalTest, NewSegmentDirectoryEntryIsSyncedBeforeItsRecords) {
+  ScratchDir dir("segment_dirsync");
+  io::RecordingFileSystem fs;
+  io::ScopedFileSystem scoped(&fs);
+  WalOptions options;
+  options.fsync = FsyncPolicy::kEveryRecord;
+  options.segment_bytes = 64;  // rotate on every record
+  auto wal = Wal::Open(dir.path + "/wal", options);
+  ASSERT_TRUE(wal.ok());
+  for (int i = 1; i <= 3; ++i) {
+    ASSERT_TRUE(
+        (*wal)->Log(WalRecord::MakeRelationInsert("r", Tuple{Value(i)})).ok());
+  }
+  ASSERT_TRUE((*wal)->Close().ok());
+  // Every segment create is followed by a sync of the WAL directory before
+  // the first sync of that segment's content; the new WAL directory itself
+  // is synced into its parent.
+  const std::vector<io::FileOp> ops = fs.ops();
+  size_t creates = 0;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    if (ops[i].kind == io::FileOp::Kind::kMakeDir) {
+      ASSERT_LT(i + 1, ops.size());
+      EXPECT_EQ(ops[i + 1].kind, io::FileOp::Kind::kSyncDir);
+      EXPECT_EQ(ops[i + 1].path, dir.path);
+    }
+    if (ops[i].kind != io::FileOp::Kind::kCreate) continue;
+    ++creates;
+    bool dir_synced = false;
+    for (size_t j = i + 1; j < ops.size(); ++j) {
+      if (ops[j].kind == io::FileOp::Kind::kSyncDir &&
+          ops[j].path == dir.path + "/wal") {
+        dir_synced = true;
+      }
+      if (ops[j].kind == io::FileOp::Kind::kSync &&
+          ops[j].path == ops[i].path) {
+        break;
+      }
+    }
+    EXPECT_TRUE(dir_synced) << ops[i].path;
+  }
+  EXPECT_GE(creates, 3u);
+}
+
+// A rotation whose directory sync fails must not leave a headerless
+// segment taking records: the log stops, and everything logged before it
+// replays.
+TEST(WalTest, FailedRotationStopsTheLog) {
+  ScratchDir dir("rotate_dirsync");
+  WalOptions options;
+  options.fsync = FsyncPolicy::kEveryRecord;
+  options.segment_bytes = 64;  // rotate on every record
+  auto wal = Wal::Open(dir.path, options);
+  ASSERT_TRUE(wal.ok());
+  ASSERT_TRUE(
+      (*wal)->Log(WalRecord::MakeRelationInsert("r", Tuple{Value(1)})).ok());
+  {
+    io::FaultPlan plan;
+    plan.kind = io::FaultKind::kFailDirSync;
+    io::RecordingFileSystem faulty(plan);
+    io::ScopedFileSystem scoped(&faulty);
+    EXPECT_TRUE((*wal)
+                    ->Log(WalRecord::MakeRelationInsert("r", Tuple{Value(2)}))
+                    .status()
+                    .IsDataLoss());
+  }
+  EXPECT_FALSE(
+      (*wal)->Log(WalRecord::MakeRelationInsert("r", Tuple{Value(3)})).ok());
+  ASSERT_TRUE((*wal)->Close().ok());
+  WalReplayStats stats;
+  ASSERT_TRUE(ReplayWal(dir.path, 0,
+                        [](const WalRecord&) { return Status::OK(); }, &stats)
+                  .ok());
+  EXPECT_EQ(stats.records_applied, 1u);
+}
+
+// Regression: the temp file a crash mid-checkpoint leaves was never
+// deleted.
+TEST(WalTest, OpenRemovesStrayCheckpointTemp) {
+  ScratchDir dir("stray_tmp");
+  const std::string stray =
+      dir.path + "/" + CheckpointFileName(7) + io::kTempSuffix;
+  ASSERT_TRUE(io::AtomicWriteFile(stray, "half a checkpoint").ok());
+  ASSERT_TRUE(fs::exists(stray));
+  auto wal = Wal::Open(dir.path);
+  ASSERT_TRUE(wal.ok());
+  EXPECT_FALSE(fs::exists(stray));
+}
+
+TEST(WalTest, FailedDirectorySyncFailsCheckpointAndTruncatesNothing) {
+  ScratchDir dir("ckpt_dirsync");
+  ChronicleDatabase db;
+  ASSERT_TRUE(
+      db.CreateChronicle("calls", CallRecordGenerator::RecordSchema()).ok());
+  WalOptions options;
+  options.segment_bytes = 256;  // several segments to truncate
+  auto wal = Wal::Open(dir.path, options);
+  ASSERT_TRUE(wal.ok());
+  WalMutationLog log(wal->get(), &db);
+  db.AttachMutationLog(&log);
+  CallRecordGenerator gen;
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(db.Append("calls", gen.NextBatch(2)).ok());
+  }
+  const size_t segments = ListWalSegments(dir.path).value().size();
+  ASSERT_GT(segments, 2u);
+  {
+    io::FaultPlan plan;
+    plan.kind = io::FaultKind::kFailDirSync;
+    io::RecordingFileSystem fs(plan);
+    io::ScopedFileSystem scoped(&fs);
+    EXPECT_TRUE((*wal)->WriteCheckpoint(db).IsDataLoss());
+    EXPECT_TRUE(fs.fault_triggered());
+  }
+  EXPECT_EQ(ListWalSegments(dir.path).value().size(), segments);
+  EXPECT_EQ((*wal)->stats().segments_removed, 0u);
+  EXPECT_EQ((*wal)->stats().checkpoints_written, 0u);
+  db.DetachMutationLog();
 }
 
 TEST(WalTest, TornTailStopsReplayCleanly) {
@@ -371,9 +528,9 @@ TEST(WalTest, TornTailStopsReplayCleanly) {
   {
     auto segments = ListWalSegments(dir.path).value();
     ASSERT_EQ(segments.size(), 1u);
-    std::string data = ReadFileToString(segments[0].path).value();
+    std::string data = io::ReadFile(segments[0].path).value();
     torn_at = data.size() - 5;
-    ASSERT_TRUE(AtomicWriteFile(segments[0].path,
+    ASSERT_TRUE(io::AtomicWriteFile(segments[0].path,
                                 std::string_view(data).substr(0, torn_at))
                     .ok());
   }
@@ -411,9 +568,9 @@ TEST(WalTest, CorruptionBeforeNewerSegmentIsDataLoss) {
   ASSERT_GT(segments.size(), 2u);
   // Flip a byte in the middle of the FIRST segment: records were lost in
   // the interior of the log, which replay must refuse to paper over.
-  std::string data = ReadFileToString(segments[0].path).value();
+  std::string data = io::ReadFile(segments[0].path).value();
   data[data.size() / 2] ^= 0x40;
-  ASSERT_TRUE(AtomicWriteFile(segments[0].path, data).ok());
+  ASSERT_TRUE(io::AtomicWriteFile(segments[0].path, data).ok());
   Status st = ReplayWal(dir.path, 0,
                         [](const WalRecord&) { return Status::OK(); }, nullptr);
   EXPECT_TRUE(st.IsDataLoss()) << st.ToString();
@@ -421,7 +578,7 @@ TEST(WalTest, CorruptionBeforeNewerSegmentIsDataLoss) {
 
 TEST(WalTest, FaultInjectedTornWriteThroughTheWriter) {
   ScratchDir dir("injected");
-  // Build the WAL through a fault-injecting factory: the 4th record's
+  // Build the WAL through a fault-injecting file system: the 4th record's
   // bytes are torn. Recovery must surface exactly the first 3.
   uint64_t torn_offset = 0;
   {
@@ -440,17 +597,11 @@ TEST(WalTest, FaultInjectedTornWriteThroughTheWriter) {
   }
   WalOptions options;
   options.fsync = FsyncPolicy::kNever;
-  options.file_factory = [&](const std::string& path)
-      -> Result<std::unique_ptr<WritableFile>> {
-    CHRONICLE_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> base,
-                               OpenWritableFile(path));
-    FaultPlan plan;
-    plan.kind = FaultKind::kTornWrite;
-    plan.trigger_offset = torn_offset;
-    return std::unique_ptr<WritableFile>(
-        std::make_unique<FaultInjectingFile>(std::move(base), plan));
-  };
+  io::FaultPlan plan = Plan(io::FaultKind::kTornWrite, torn_offset);
+  plan.path_contains = "/wal-";
+  io::RecordingFileSystem faulty(plan);
   {
+    io::ScopedFileSystem scoped(&faulty);
     auto wal = Wal::Open(dir.path, options);
     ASSERT_TRUE(wal.ok());
     for (int i = 1; i <= 6; ++i) {
