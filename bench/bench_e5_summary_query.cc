@@ -7,11 +7,15 @@
 //   * ChronicleScan     — answering the query the relational way, by
 //     scanning the stored chronicle: O(|C|) and impossible once the
 //     chronicle is discarded.
+//   * CqlPointLookup    — the ViewLookupHash query through the front door:
+//     `SELECT * FROM balance WHERE acct = k` via cql::Session::ExecuteSql
+//     (parse, session lock, plan, read, projection).
 
 #include <benchmark/benchmark.h>
 
 #include "baseline/naive_engine.h"
 #include "bench_common.h"
+#include "cql/session.h"
 #include "db/database.h"
 #include "workload/banking.h"
 
@@ -19,27 +23,31 @@ namespace chronicle {
 namespace bench {
 namespace {
 
+// Loads `size` banking transactions into `db` under the `balance` view.
+void Load(ChronicleDatabase& db, int64_t size, RetentionPolicy retention,
+          IndexMode view_mode) {
+  Check(db.CreateChronicle("txns", BankingGenerator::RecordSchema(), retention)
+            .status());
+  CaExprPtr scan = Unwrap(db.ScanChronicle("txns"));
+  SummarySpec spec = Unwrap(SummarySpec::GroupBy(
+      scan->schema(), {"acct"}, {AggSpec::Sum("amount", "balance")}));
+  Check(db.CreateView("balance", scan, spec, {}, view_mode).status());
+
+  BankingGenerator gen(BankingOptions{});
+  Chronon chronon = 0;
+  int64_t remaining = size;
+  while (remaining > 0) {
+    const size_t n = remaining < 256 ? static_cast<size_t>(remaining) : 256;
+    Check(db.Append("txns", gen.NextBatch(n), ++chronon).status());
+    remaining -= static_cast<int64_t>(n);
+  }
+}
+
 struct Setup {
   ChronicleDatabase db;
-  int64_t stream_size;
 
-  Setup(int64_t size, RetentionPolicy retention, IndexMode view_mode)
-      : stream_size(size) {
-    Check(db.CreateChronicle("txns", BankingGenerator::RecordSchema(), retention)
-              .status());
-    CaExprPtr scan = Unwrap(db.ScanChronicle("txns"));
-    SummarySpec spec = Unwrap(SummarySpec::GroupBy(
-        scan->schema(), {"acct"}, {AggSpec::Sum("amount", "balance")}));
-    Check(db.CreateView("balance", scan, spec, {}, view_mode).status());
-
-    BankingGenerator gen(BankingOptions{});
-    Chronon chronon = 0;
-    int64_t remaining = size;
-    while (remaining > 0) {
-      const size_t n = remaining < 256 ? static_cast<size_t>(remaining) : 256;
-      Check(db.Append("txns", gen.NextBatch(n), ++chronon).status());
-      remaining -= static_cast<int64_t>(n);
-    }
+  Setup(int64_t size, RetentionPolicy retention, IndexMode view_mode) {
+    Load(db, size, retention, view_mode);
   }
 };
 
@@ -82,6 +90,23 @@ void ChronicleScan(benchmark::State& state) {
   state.counters["chronicle_size"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(ChronicleScan)->RangeMultiplier(8)->Range(1 << 10, Scaled(1 << 17, 1 << 12));
+
+void CqlPointLookup(benchmark::State& state) {
+  std::unique_ptr<cql::Session> session =
+      Unwrap(cql::Session::Open(DatabaseOptions{}));
+  Load(*session->db(), state.range(0), RetentionPolicy::None(),
+       IndexMode::kHash);
+  Rng rng(3);
+  for (auto _ : state) {
+    Result<cql::ExecResult> result = session->ExecuteSql(
+        "SELECT * FROM balance WHERE acct = " +
+        std::to_string(rng.Uniform(16)));
+    Check(result.status());
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["chronicle_size"] = static_cast<double>(state.range(0));
+}
+BENCHMARK(CqlPointLookup)->RangeMultiplier(8)->Range(1 << 10, Scaled(1 << 20, 1 << 12));
 
 }  // namespace
 }  // namespace bench

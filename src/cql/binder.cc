@@ -1,11 +1,15 @@
 #include "cql/binder.h"
 
+#include <cmath>
+#include <numeric>
 #include <optional>
 #include <unordered_set>
+#include <utility>
 
 #include "algebra/complexity.h"
 #include "algebra/validate.h"
 #include "checkpoint/checkpoint.h"
+#include "shard/sharded_db.h"
 
 namespace chronicle {
 namespace cql {
@@ -340,52 +344,52 @@ Result<ExecResult> ExecDelete(ChronicleDatabase* db, const DeleteStmt& stmt) {
   return result;
 }
 
-Result<ExecResult> ExecSelect(ChronicleDatabase* db, const SelectStmt& stmt) {
-  const SelectQuery& query = stmt.query;
-  if (query.join.kind != JoinClause::Kind::kNone || !query.group_by.empty()) {
-    return Status::PlanError(
-        "interactive SELECT supports only persistent views and relations "
-        "(define a VIEW for joins/aggregation — that is the point of the "
-        "chronicle model)");
-  }
-  for (const SelectItem& item : query.items) {
-    if (item.is_aggregate) {
-      return Status::PlanError(
-          "aggregates in interactive SELECT are not supported; define a "
-          "persistent view instead");
-    }
-  }
+// --- interactive SELECT: key probe or scan ---
 
-  // Source: a persistent view, a relation, or a chronicle (in which case
-  // this is a §2.2 detail query over the retained window).
-  Schema source_schema;
-  std::vector<Tuple> rows;
-  bool where_applied = false;
-  ViewManager& views = db->view_manager();
-  Result<PersistentView*> view = views.FindView(query.from);
-  if (view.ok()) {
-    source_schema = (*view)->output_schema();
-    CHRONICLE_ASSIGN_OR_RETURN(rows, db->ScanView(query.from));
-  } else if (db->group().FindChronicle(query.from).ok()) {
-    CHRONICLE_ASSIGN_OR_RETURN(CaExprPtr plan, db->ScanChronicle(query.from));
-    if (query.where != nullptr) {
-      // Pushing the WHERE into the plan lets it see $sn / $chronon.
-      CHRONICLE_ASSIGN_OR_RETURN(plan,
-                                 CaExpr::Select(plan, query.where->Clone()));
-      where_applied = true;
-    }
-    source_schema = plan->schema();
-    CHRONICLE_ASSIGN_OR_RETURN(std::vector<ChronicleRow> window,
-                               db->QueryRecentWindow(*plan));
-    rows.reserve(window.size());
-    for (ChronicleRow& row : window) rows.push_back(std::move(row.values));
-  } else {
-    CHRONICLE_ASSIGN_OR_RETURN(const Relation* rel, db->GetRelation(query.from));
-    source_schema = rel->schema();
-    rows = rel->rows();
-  }
+// One `column = literal` conjunct of a WHERE.
+struct Pin {
+  const std::string* column;
+  const Value* literal;
+};
 
-  return ProjectSelect(query, source_schema, std::move(rows), where_applied);
+// Appends the `column = literal` conjuncts of `expr` (either operand
+// order) to `pins`; false when any conjunct has another shape.
+bool CollectPins(const ScalarExpr& expr, std::vector<Pin>* pins) {
+  if (expr.kind() == ExprKind::kAnd) {
+    return CollectPins(expr.child(0), pins) && CollectPins(expr.child(1), pins);
+  }
+  if (expr.kind() != ExprKind::kCompare ||
+      expr.compare_op() != CompareOp::kEq) {
+    return false;
+  }
+  const ScalarExpr* column = &expr.child(0);
+  const ScalarExpr* literal = &expr.child(1);
+  if (column->kind() == ExprKind::kLiteral) std::swap(column, literal);
+  if (column->kind() != ExprKind::kColumn ||
+      literal->kind() != ExprKind::kLiteral) {
+    return false;
+  }
+  pins->push_back(Pin{&column->column_name(), &literal->literal()});
+  return true;
+}
+
+// The value to probe a key column of `type` with when the WHERE pins it
+// to `literal`, or nullopt to scan. A view finalizes the probed row from
+// the probe key, not from the stored one, so the probe must carry the
+// exact value a matching stored key holds: an integral double pinned on
+// an INT64 key becomes that int64. Any other literal either is that value
+// or equals no value of the column (NULL never satisfies `=`, and the
+// WHERE re-check drops a NULL group). DOUBLE keys always scan: -0.0 and
+// NaN compare equal to values that print differently.
+std::optional<Value> ProbeValue(const Value& literal, DataType type) {
+  if (type == DataType::kDouble) return std::nullopt;
+  if (type == DataType::kInt64 && literal.is_double()) {
+    const double d = literal.dbl();
+    // From 2^53 on, one double compares equal to several int64 values.
+    if (!(std::fabs(d) < 9007199254740992.0)) return std::nullopt;
+    if (d == std::trunc(d)) return Value(static_cast<int64_t>(d));
+  }
+  return literal;
 }
 
 }  // namespace
@@ -578,6 +582,115 @@ Result<ExecResult> ProjectSelect(const SelectQuery& query,
   return result;
 }
 
+// A column pinned twice probes with its first literal; the WHERE re-check
+// in ProjectSelect drops the row if the other literal disagrees.
+std::optional<Tuple> PinnedKey(const ScalarExpr* where, const Schema& schema,
+                               const std::vector<size_t>& key_columns) {
+  std::vector<Pin> pins;
+  if (where == nullptr || !CollectPins(*where, &pins)) return std::nullopt;
+  std::vector<const Value*> pinned(key_columns.size(), nullptr);
+  for (const Pin& pin : pins) {
+    size_t i = 0;
+    while (i < key_columns.size() &&
+           schema.field(key_columns[i]).name != *pin.column) {
+      ++i;
+    }
+    if (i == key_columns.size()) return std::nullopt;
+    if (pinned[i] == nullptr) pinned[i] = pin.literal;
+  }
+  Tuple key;
+  key.reserve(key_columns.size());
+  for (size_t i = 0; i < key_columns.size(); ++i) {
+    if (pinned[i] == nullptr) return std::nullopt;
+    std::optional<Value> value =
+        ProbeValue(*pinned[i], schema.field(key_columns[i]).type);
+    if (!value.has_value()) return std::nullopt;
+    key.push_back(std::move(*value));
+  }
+  return key;
+}
+
+Result<ExecResult> ExecuteSelect(ChronicleDatabase* engine,
+                                 const shard::ShardedDatabase* sharded,
+                                 const SelectQuery& query) {
+  if (query.join.kind != JoinClause::Kind::kNone || !query.group_by.empty()) {
+    return Status::PlanError(
+        "interactive SELECT supports only persistent views and relations "
+        "(define a VIEW for joins/aggregation — that is the point of the "
+        "chronicle model)");
+  }
+  for (const SelectItem& item : query.items) {
+    if (item.is_aggregate) {
+      return Status::PlanError(
+          "aggregates in interactive SELECT are not supported; define a "
+          "persistent view instead");
+    }
+  }
+
+  // Source: a persistent view, a relation, or a chronicle (in which case
+  // this is a §2.2 detail query over the retained window).
+  std::vector<Tuple> rows;
+  Result<const PersistentView*> view = engine->GetView(query.from);
+  if (view.ok()) {
+    // Output rows start with the group key columns, in spec order.
+    const Schema& schema = (*view)->output_schema();
+    std::vector<size_t> key_columns((*view)->spec().key_columns().size());
+    std::iota(key_columns.begin(), key_columns.end(), size_t{0});
+    if (std::optional<Tuple> key =
+            PinnedKey(query.where.get(), schema, key_columns)) {
+      Result<Tuple> row = sharded != nullptr
+                              ? sharded->QueryView(query.from, *key)
+                              : engine->QueryView(query.from, *key);
+      if (row.ok()) {
+        rows.push_back(std::move(*row));
+      } else if (!row.status().IsNotFound()) {
+        return row.status();
+      }
+    } else {
+      CHRONICLE_ASSIGN_OR_RETURN(rows, sharded != nullptr
+                                           ? sharded->ScanView(query.from)
+                                           : engine->ScanView(query.from));
+    }
+    return ProjectSelect(query, schema, std::move(rows),
+                         /*where_applied=*/false);
+  }
+  if (engine->group().FindChronicle(query.from).ok()) {
+    if (sharded != nullptr) {
+      return Status::FailedPrecondition(
+          "detail queries over chronicles are not merged across shards; "
+          "SELECT from a view or relation on a sharded session");
+    }
+    CHRONICLE_ASSIGN_OR_RETURN(CaExprPtr plan,
+                               engine->ScanChronicle(query.from));
+    bool where_applied = false;
+    if (query.where != nullptr) {
+      // Pushing the WHERE into the plan lets it see $sn / $chronon.
+      CHRONICLE_ASSIGN_OR_RETURN(plan,
+                                 CaExpr::Select(plan, query.where->Clone()));
+      where_applied = true;
+    }
+    CHRONICLE_ASSIGN_OR_RETURN(std::vector<ChronicleRow> window,
+                               engine->QueryRecentWindow(*plan));
+    rows.reserve(window.size());
+    for (ChronicleRow& row : window) rows.push_back(std::move(row.values));
+    return ProjectSelect(query, plan->schema(), std::move(rows),
+                         where_applied);
+  }
+  CHRONICLE_ASSIGN_OR_RETURN(const Relation* rel,
+                             engine->GetRelation(query.from));
+  std::optional<Tuple> key;
+  if (rel->has_key()) {
+    key = PinnedKey(query.where.get(), rel->schema(), {rel->key_index()});
+  }
+  if (key.has_value()) {
+    if (const Tuple* row = rel->FindByKey((*key)[0])) rows.push_back(*row);
+  } else {
+    rows = rel->rows();
+  }
+  return ProjectSelect(query, rel->schema(), std::move(rows),
+                       /*where_applied=*/false);
+}
+
 Result<ExecResult> Execute(ChronicleDatabase* db, const Statement& statement) {
   if (db == nullptr) return Status::InvalidArgument("null database");
   if (const auto* s = std::get_if<CreateChronicleStmt>(&statement)) {
@@ -599,7 +712,7 @@ Result<ExecResult> Execute(ChronicleDatabase* db, const Statement& statement) {
     return ExecDelete(db, *s);
   }
   if (const auto* s = std::get_if<SelectStmt>(&statement)) {
-    return ExecSelect(db, *s);
+    return ExecuteSelect(db, /*sharded=*/nullptr, s->query);
   }
   if (const auto* s = std::get_if<ExplainStmt>(&statement)) {
     return ExecExplain(db, *s);

@@ -19,6 +19,10 @@
 #include "db/database.h"
 
 namespace chronicle {
+namespace shard {
+class ShardedDatabase;
+}  // namespace shard
+
 namespace cql {
 
 // Result of executing one statement.
@@ -52,11 +56,36 @@ Result<BoundView> BindViewQuery(ChronicleDatabase* db,
 
 // Applies an interactive SELECT's WHERE (unless `where_applied` says the
 // plan already evaluated it) and select-list projection over materialized
-// rows. Shared by the unsharded executor and the sharded session's
-// merged-read path.
+// rows. ExecuteSelect ends here whether it scanned or probed, so both
+// reads filter and project the same way.
 Result<ExecResult> ProjectSelect(const SelectQuery& query,
                                  const Schema& source_schema,
                                  std::vector<Tuple> rows, bool where_applied);
+
+// Executes an interactive SELECT over a persistent view, a relation, or
+// (unsharded only) a chronicle's retained window. `engine` resolves names
+// and schemas: the database itself, or shard 0 of a sharded session,
+// whose relations are replicated. When `sharded` is non-null, view reads
+// go through its merge layer.
+//
+// A WHERE that is a conjunction of `column = literal` terms (either
+// operand order) covering every key column of the source, and nothing
+// else, names at most one row: the view's group key or the relation's
+// unique key. Such a query fetches that row by key (QueryView /
+// Relation::FindByKey) instead of scanning; every other shape scans. The
+// fetched row still passes through ProjectSelect with the whole WHERE, so
+// both reads return the same rows.
+Result<ExecResult> ExecuteSelect(ChronicleDatabase* engine,
+                                 const shard::ShardedDatabase* sharded,
+                                 const SelectQuery& query);
+
+// ExecuteSelect's planner: the key `where` pins, in `key_columns` order
+// (indexes into `schema`), or nullopt when the query scans. It scans when
+// the WHERE has another shape, leaves a key column free, or constrains a
+// non-key column, and also when a literal could equal a stored key that
+// prints differently (DOUBLE keys; doubles from 2^53 on an INT64 key).
+std::optional<Tuple> PinnedKey(const ScalarExpr* where, const Schema& schema,
+                               const std::vector<size_t>& key_columns);
 
 // Executes one parsed statement against `db`.
 Result<ExecResult> Execute(ChronicleDatabase* db, const Statement& statement);

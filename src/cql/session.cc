@@ -105,7 +105,7 @@ Session::~Session() {
 }
 
 Result<Schema> Session::ChronicleSchema(const std::string& chronicle) {
-  std::lock_guard<std::mutex> lock(exec_mu_);
+  std::lock_guard<FifoMutex> lock(exec_mu_);
   ChronicleGroup& group = engine0().group();
   CHRONICLE_ASSIGN_OR_RETURN(ChronicleId id, group.FindChronicle(chronicle));
   CHRONICLE_ASSIGN_OR_RETURN(Chronicle * chron, group.GetChronicle(id));
@@ -113,7 +113,7 @@ Result<Schema> Session::ChronicleSchema(const std::string& chronicle) {
 }
 
 Status Session::Flush() {
-  std::lock_guard<std::mutex> lock(exec_mu_);
+  std::lock_guard<FifoMutex> lock(exec_mu_);
   if (sharded_ != nullptr) return sharded_->Flush();
   return Status::OK();
 }
@@ -187,7 +187,7 @@ uint16_t Session::monitoring_port() const {
 }
 
 void Session::ReconfigureMaintenance(const MaintenanceOptions& options) {
-  std::lock_guard<std::mutex> lock(exec_mu_);
+  std::lock_guard<FifoMutex> lock(exec_mu_);
   if (sharded_ != nullptr) {
     for (size_t k = 0; k < sharded_->num_shards(); ++k) {
       sharded_->engine(k).ReconfigureMaintenance(options);
@@ -200,7 +200,7 @@ void Session::ReconfigureMaintenance(const MaintenanceOptions& options) {
 // --- durability ---
 
 Status Session::AttachWal(const std::string& dir) {
-  std::lock_guard<std::mutex> lock(exec_mu_);
+  std::lock_guard<FifoMutex> lock(exec_mu_);
   return AttachWalLocked(dir);
 }
 
@@ -218,7 +218,7 @@ Status Session::AttachWalLocked(const std::string& dir) {
 }
 
 Status Session::DetachWal() {
-  std::lock_guard<std::mutex> lock(exec_mu_);
+  std::lock_guard<FifoMutex> lock(exec_mu_);
   return DetachWalLocked();
 }
 
@@ -236,7 +236,7 @@ Status Session::DetachWalLocked() {
 }
 
 Status Session::WriteCheckpoint() {
-  std::lock_guard<std::mutex> lock(exec_mu_);
+  std::lock_guard<FifoMutex> lock(exec_mu_);
   if (wal_ == nullptr) {
     return Status::FailedPrecondition(
         "no wal attached (use AttachWal / \\wal <dir> first)");
@@ -245,7 +245,7 @@ Status Session::WriteCheckpoint() {
 }
 
 Result<wal::RecoveryReport> Session::Recover(const std::string& dir) {
-  std::lock_guard<std::mutex> lock(exec_mu_);
+  std::lock_guard<FifoMutex> lock(exec_mu_);
   if (sharded_ != nullptr) {
     return Status::FailedPrecondition(
         "sharded recovery goes through per-shard WALs "
@@ -272,19 +272,24 @@ Result<ExecResult> Session::ExecuteSql(const std::string& sql) {
 
 Result<ExecResult> Session::ExecuteScript(const std::string& sql) {
   CHRONICLE_ASSIGN_OR_RETURN(std::vector<Statement> stmts, ParseScript(sql));
-  if (stmts.empty()) return Status::InvalidArgument("empty script");
+  return ExecuteStatements(stmts);
+}
+
+Result<ExecResult> Session::ExecuteStatements(
+    const std::vector<Statement>& statements) {
+  if (statements.empty()) return Status::InvalidArgument("empty script");
   // One lock for the whole script: statements from other threads never
   // interleave inside it.
-  std::lock_guard<std::mutex> lock(exec_mu_);
+  std::lock_guard<FifoMutex> lock(exec_mu_);
   ExecResult last;
-  for (const Statement& stmt : stmts) {
+  for (const Statement& stmt : statements) {
     CHRONICLE_ASSIGN_OR_RETURN(last, ExecuteStatementLocked(stmt));
   }
   return last;
 }
 
 Result<ExecResult> Session::ExecuteStatement(const Statement& statement) {
-  std::lock_guard<std::mutex> lock(exec_mu_);
+  std::lock_guard<FifoMutex> lock(exec_mu_);
   return ExecuteStatementLocked(statement);
 }
 
@@ -295,7 +300,7 @@ Result<ExecResult> Session::ExecuteStatementLocked(const Statement& statement) {
 
 Result<uint64_t> Session::AppendRows(const std::string& chronicle,
                                      std::vector<std::vector<Tuple>> batches) {
-  std::lock_guard<std::mutex> lock(exec_mu_);
+  std::lock_guard<FifoMutex> lock(exec_mu_);
   uint64_t rows = 0;
   for (const std::vector<Tuple>& batch : batches) rows += batch.size();
   if (sharded_ != nullptr) {
@@ -370,7 +375,7 @@ Result<ExecResult> Session::ExecuteSharded(const Statement& statement) {
     return result;
   }
   if (const auto* s = std::get_if<SelectStmt>(&statement)) {
-    return ShardedSelect(*s);
+    return ExecuteSelect(&engine0(), sharded_.get(), s->query);
   }
   if (std::get_if<ExplainStmt>(&statement) != nullptr ||
       std::get_if<ShowStmt>(&statement) != nullptr) {
@@ -493,41 +498,6 @@ Result<ExecResult> Session::ShardedInsert(const InsertStmt& stmt) {
   result.message = std::to_string(stmt.rows.size()) +
                    " row(s) inserted into " + stmt.target;
   return result;
-}
-
-Result<ExecResult> Session::ShardedSelect(const SelectStmt& stmt) {
-  const SelectQuery& query = stmt.query;
-  if (query.join.kind != JoinClause::Kind::kNone || !query.group_by.empty()) {
-    return Status::PlanError(
-        "interactive SELECT supports only persistent views and relations "
-        "(define a VIEW for joins/aggregation — that is the point of the "
-        "chronicle model)");
-  }
-  for (const SelectItem& item : query.items) {
-    if (item.is_aggregate) {
-      return Status::PlanError(
-          "aggregates in interactive SELECT are not supported; define a "
-          "persistent view instead");
-    }
-  }
-  ChronicleDatabase& engine = engine0();
-  if (engine.view_manager().FindView(query.from).ok()) {
-    CHRONICLE_ASSIGN_OR_RETURN(const PersistentView* view,
-                               engine.GetView(query.from));
-    CHRONICLE_ASSIGN_OR_RETURN(std::vector<Tuple> rows,
-                               sharded_->ScanView(query.from));
-    return ProjectSelect(query, view->output_schema(), std::move(rows),
-                         /*where_applied=*/false);
-  }
-  if (engine.group().FindChronicle(query.from).ok()) {
-    return Status::FailedPrecondition(
-        "detail queries over chronicles are not merged across shards; "
-        "SELECT from a view or relation on a sharded session");
-  }
-  CHRONICLE_ASSIGN_OR_RETURN(const Relation* rel,
-                             engine.GetRelation(query.from));
-  return ProjectSelect(query, rel->schema(), rel->rows(),
-                       /*where_applied=*/false);
 }
 
 }  // namespace cql

@@ -28,11 +28,12 @@
 // once — the shell REPL plus the wire service's HTTP threads and ingest
 // worker after \listen — so ExecuteStatement/ExecuteSql/ExecuteScript,
 // AppendRows, ReconfigureMaintenance, and the WAL attach/checkpoint/
-// recover calls all take one internal mutex. A script executes atomically
-// (no statement from another thread interleaves inside it). Read-only
-// observability (CollectStats, the enricher chain, monitoring) stays
-// lock-free here: the database's own obs_mutex_ makes snapshots a
-// consistent cut against in-flight appends.
+// recover calls all take one internal mutex. That mutex is FIFO
+// (common/fifo_mutex.h): callers own it in the order they arrived. A
+// script executes atomically (no statement from another thread
+// interleaves inside it). Read-only observability (CollectStats, the
+// enricher chain, monitoring) stays lock-free here: the database's own
+// obs_mutex_ makes snapshots a consistent cut against in-flight appends.
 
 #ifndef CHRONICLE_CQL_SESSION_H_
 #define CHRONICLE_CQL_SESSION_H_
@@ -45,6 +46,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fifo_mutex.h"
 #include "common/status.h"
 #include "cql/binder.h"
 #include "cql/parser.h"
@@ -103,6 +105,10 @@ class Session {
   // Parses and executes a ';'-separated script, stopping at the first
   // error; returns the result of the last statement.
   Result<ExecResult> ExecuteScript(const std::string& sql);
+  // ExecuteScript for a script the caller already parsed (the wire
+  // service times its own parse stage): one lock for all statements.
+  Result<ExecResult> ExecuteStatements(
+      const std::vector<Statement>& statements);
 
   // --- bulk ingest (the wire service's /v1/append target) ---
 
@@ -181,7 +187,6 @@ class Session {
   Result<ExecResult> ExecuteSharded(const Statement& statement);
   Result<ExecResult> ShardedCreateView(const CreateViewStmt& stmt);
   Result<ExecResult> ShardedInsert(const InsertStmt& stmt);
-  Result<ExecResult> ShardedSelect(const SelectStmt& stmt);
 
   // Installs the db-side enricher that runs the chain (unsharded only).
   void InstallEnricherHook();
@@ -198,7 +203,9 @@ class Session {
 
   // Serializes every mutating entry point (see the thread-safety note at
   // the top). Never held while collecting stats or running enrichers.
-  std::mutex exec_mu_;
+  // FIFO, so a statement that arrives while the wire ingest worker applies
+  // a body waits for that body only, not for every body queued behind it.
+  FifoMutex exec_mu_;
 
   // Durability attachment (unsharded).
   std::unique_ptr<wal::Wal> wal_;

@@ -608,26 +608,25 @@ obs::HttpResponse WireService::HandleSql(const obs::HttpRequest& request,
     ++sql_statements_total_;
   }
   const bool traced = rt->tracer != nullptr && rt->ctx.sampled;
+  // The body is parsed once; a traced request times that parse as its own
+  // stage.
+  const int64_t parse_start = traced ? rt->tracer->NowNanos() : 0;
+  Result<std::vector<cql::Statement>> stmts = cql::ParseScript(request.body);
   if (traced) {
-    // parse: timed separately from execution. ExecuteScript re-parses,
-    // but only on the sampled path — unsampled requests skip this block
-    // entirely, which is what the trace-overhead gate measures.
-    const int64_t parse_start = rt->tracer->NowNanos();
-    Result<std::vector<cql::Statement>> stmts = cql::ParseScript(request.body);
     rt->tracer->Emit(rt->ctx, rt->tracer->NewSpanId(), rt->root_span,
                      obs::ReqStage::kParse, /*shard=*/-1, /*worker=*/0,
                      parse_start, rt->tracer->NowNanos() - parse_start,
                      stmts.ok() ? stmts->size() : 0);
-    if (!stmts.ok()) return ErrorResponse(stmts.status());
   }
+  if (!stmts.ok()) return ErrorResponse(stmts.status());
   const int64_t exec_start = traced ? rt->tracer->NowNanos() : 0;
   Result<cql::ExecResult> result = [&]() -> Result<cql::ExecResult> {
-    if (!traced) return session_->ExecuteScript(request.body);
+    if (!traced) return session_->ExecuteStatements(*stmts);
     // RequestScope makes the engine's maintain/wal_commit spans (emitted
     // on THIS thread — synchronous SQL drives maintenance inline) land
     // under this request's root.
     obs::RequestScope scope(rt->tracer, rt->ctx, rt->root_span, /*worker=*/0);
-    return session_->ExecuteScript(request.body);
+    return session_->ExecuteStatements(*stmts);
   }();
   if (traced) {
     rt->tracer->Emit(rt->ctx, rt->tracer->NewSpanId(), rt->root_span,
