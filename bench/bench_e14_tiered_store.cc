@@ -74,8 +74,9 @@ void SpillThroughput(benchmark::State& state) {
   state.counters["rows_per_sec"] = benchmark::Counter(
       static_cast<double>(rows), benchmark::Counter::kIsRate);
 
+  Check(db.DrainSeals());
   const store::TieredStore* store = db.tiered_store();
-  if (store != nullptr && store->WarmRows(0) > 0) {
+  if (store != nullptr && store->TierOf(0).rows > 0) {
     const store::WarmTierInfo warm = store->TierOf(0);
     state.counters["warm_rows"] = static_cast<double>(warm.rows);
     state.counters["warm_disk_bytes"] = static_cast<double>(warm.bytes);

@@ -91,7 +91,19 @@ Result<std::string> SaveDatabase(const ChronicleDatabase& db,
     w.WriteString(chron->name());
     w.WriteU64(chron->total_appended());
     w.WriteU64(chron->last_sn());
-    w.WriteU64(chron->retained().size());
+    // The rows no segment holds yet: batches in flight to the sealer, then
+    // the hot deque. A batch sealed meanwhile is dropped again at restore
+    // by the chronicle's dedup guard.
+    const std::vector<RowBatch> in_flight = chron->in_flight();
+    size_t unsealed = chron->retained().size();
+    for (const RowBatch& batch : in_flight) unsealed += batch->size();
+    w.WriteU64(unsealed);
+    for (const RowBatch& batch : in_flight) {
+      for (const ChronicleRow& row : *batch) {
+        w.WriteU64(row.sn);
+        w.WriteTuple(row.values);
+      }
+    }
     for (const ChronicleRow& row : chron->retained()) {
       w.WriteU64(row.sn);
       w.WriteTuple(row.values);

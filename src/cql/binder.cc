@@ -271,6 +271,7 @@ Result<ExecResult> ExecDrop(ChronicleDatabase* db, const DropStmt& stmt) {
 
 Result<ExecResult> ExecCheckpoint(ChronicleDatabase* db,
                                   const CheckpointStmt& stmt) {
+  (void)db->DrainSeals();  // settle the tiers before imaging the hot rows
   CHRONICLE_RETURN_NOT_OK(checkpoint::SaveDatabaseToFile(*db, stmt.path));
   ExecResult result;
   result.message = "checkpoint written to " + stmt.path;

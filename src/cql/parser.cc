@@ -509,6 +509,19 @@ class Parser {
       return inner;
     }
     if (ConsumeSymbol("-")) {
+      // A negative number is a literal (so a key-pinned SELECT can probe
+      // it), folded to exactly what `0 - lit` evaluates to: the lexer's
+      // integers are non-negative, so 0 - n never overflows, and 0.0 - 0.0
+      // is +0.0, not -0.0.
+      const Token& num = Peek();
+      if (num.type == TokenType::kInteger) {
+        Advance();
+        return Lit(Value(int64_t{0} - num.int_value));
+      }
+      if (num.type == TokenType::kFloat) {
+        Advance();
+        return Lit(Value(0.0 - num.float_value));
+      }
       CHRONICLE_ASSIGN_OR_RETURN(ScalarExprPtr inner, ParsePrimary());
       return ScalarExpr::Arith(ArithOp::kSub, Lit(Value(int64_t{0})),
                                std::move(inner));
@@ -526,6 +539,7 @@ class Parser {
         return Lit(Value(t.text));
       case TokenType::kIdentifier: {
         Advance();
+        if (t.upper == "NULL") return Lit(Value());
         if (t.text == "$sn") return ScalarExpr::SeqNumRef();
         if (t.text == "$chronon") return ScalarExpr::ChrononRef();
         return Col(t.text);

@@ -241,6 +241,8 @@ Status Session::WriteCheckpoint() {
     return Status::FailedPrecondition(
         "no wal attached (use AttachWal / \\wal <dir> first)");
   }
+  // Settle the tiers first, so the image carries no batch in flight.
+  (void)db_->DrainSeals();
   return wal_->WriteCheckpoint(*db_);
 }
 

@@ -99,14 +99,18 @@ Status ChronicleDatabase::AttachTieredChronicle(ChronicleId id,
     if (metrics_ != nullptr) {
       store_->AttachMetrics(metrics_.get(), store_metric_ids_);
     }
-    // Write-ahead barrier: a seal may not outrun the durable log, or a
-    // crash would recover warm rows the replayed WAL (and every view)
-    // never saw. Reads the log through `this` so WAL attach/detach at
-    // runtime is picked up.
-    store_->SetPreSealBarrier([this]() {
+    // Write-ahead rule: a seal may not outrun the durable log, or a crash
+    // would recover warm rows the replayed WAL (and every view) never saw.
+    // The sealer never syncs the log itself (the log has one writer); a
+    // wait on this thread forces it through the barrier.
+    store_->SetDurabilityBarrier([this]() {
       MutationLog* log = durability_.mutation_log;
-      return log != nullptr ? log->Sync() : Status::OK();
+      if (log != nullptr) CHRONICLE_RETURN_NOT_OK(log->Sync());
+      PublishDurableSn();
+      return Status::OK();
     });
+    published_durable_sn_ = std::numeric_limits<SeqNum>::max();
+    PublishDurableSn();
   }
   // Attach adopts any segments a previous run sealed (recovery).
   CHRONICLE_RETURN_NOT_OK(store_->AttachChronicle(id, name));
@@ -161,7 +165,7 @@ class ScopedFlag {
 };
 
 // One chronicle's retained row stream for the backfill merge: warm
-// segments first (pull cursor over mmap'd files), then the hot deque.
+// segments and batches in flight first (pull cursor), then the hot deque.
 struct BackfillStream {
   ChronicleId id = 0;
   store::TieredStore::WarmCursor warm;
@@ -206,6 +210,9 @@ Result<BackfillReport> ChronicleDatabase::RegisterViewWithBackfill(
                             std::move(computed), index_mode));
   BackfillReport report;
   report.view = id;
+  // Replay from the settled tiers; a batch whose seal failed is still read
+  // from memory.
+  (void)DrainSeals();
 
   // The replay holds the stats mutex end to end: monitoring snapshots see
   // either the pre-backfill or the converged view, never a torn middle.
@@ -350,6 +357,29 @@ Status ChronicleDatabase::DropRelation(const std::string& name) {
   return Status::OK();
 }
 
+void ChronicleDatabase::PublishDurableSn() {
+  if (store_ == nullptr) return;
+  MutationLog* log = durability_.mutation_log;
+  const SeqNum durable =
+      log == nullptr ? std::numeric_limits<SeqNum>::max()
+                     : std::max(log_attached_at_sn_, log->durable_sn());
+  if (durable == published_durable_sn_) return;
+  published_durable_sn_ = durable;
+  store_->SetDurableSn(durable);
+}
+
+void ChronicleDatabase::AttachMutationLog(MutationLog* log) {
+  (void)DrainSeals();  // a failed seal keeps its rows in flight
+  options_.durability.mutation_log = log;
+  durability_.mutation_log = log;
+  log_attached_at_sn_ = group_.last_sn();
+  PublishDurableSn();
+}
+
+Status ChronicleDatabase::DrainSeals() {
+  return store_ != nullptr ? store_->Drain() : Status::OK();
+}
+
 Result<CaExprPtr> ChronicleDatabase::ScanChronicle(
     const std::string& name) const {
   CHRONICLE_ASSIGN_OR_RETURN(ChronicleId id, group_.FindChronicle(name));
@@ -458,6 +488,7 @@ Result<AppendResult> ChronicleDatabase::AppendInternal(
     CHRONICLE_RETURN_NOT_OK(ValidateAppendForLog(inserts, chronon));
     CHRONICLE_RETURN_NOT_OK(durability_.mutation_log->LogAppend(
         group_.last_sn() + 1, chronon, inserts));
+    PublishDurableSn();
   }
   if (req_scope != nullptr) {
     // Emitted even with no log attached (~0ns) so every sampled append's
@@ -468,7 +499,9 @@ Result<AppendResult> ChronicleDatabase::AppendInternal(
         req_scope->tracer->NowNanos() - wal_start,
         durability_.mutation_log != nullptr ? 1 : 0);
   }
-  return Maintain(group_.AppendMulti(std::move(inserts), chronon));
+  // With a log attached, ValidateAppendForLog already checked every tuple.
+  return Maintain(group_.AppendMulti(std::move(inserts), chronon,
+                                     durability_.mutation_log != nullptr));
 }
 
 Result<AppendResult> ChronicleDatabase::Append(const std::string& chronicle,
@@ -528,6 +561,7 @@ Result<std::vector<AppendResult>> ChronicleDatabase::AppendMany(
           group_.last_sn() + 1 + static_cast<SeqNum>(i), chronon, &ticks[i]});
     }
     CHRONICLE_RETURN_NOT_OK(durability_.mutation_log->LogAppendMany(pending));
+    PublishDurableSn();
   }
   if (req_scope != nullptr) {
     // One wal_commit span for the whole group-committed batch (emitted even
@@ -544,7 +578,8 @@ Result<std::vector<AppendResult>> ChronicleDatabase::AppendMany(
     CHRONICLE_ASSIGN_OR_RETURN(
         AppendResult result,
         Maintain(group_.AppendMulti(std::move(ticks[i]),
-                                    first_chronon + static_cast<Chronon>(i))));
+                                    first_chronon + static_cast<Chronon>(i),
+                                    durability_.mutation_log != nullptr)));
     results.push_back(std::move(result));
   }
   if (metrics_ != nullptr) {
@@ -583,8 +618,8 @@ obs::StatsSnapshot ChronicleDatabase::CollectStatsLocked() const {
       const store::WarmTierInfo warm = store_->TierOf(id);
       obs::ChronicleTierSnapshot tier;
       tier.name = chron->name();
-      tier.hot_rows = chron->retained().size();
-      tier.hot_bytes = chron->MemoryFootprint();
+      tier.hot_rows = chron->retained().size() + warm.in_flight_rows;
+      tier.hot_bytes = chron->MemoryFootprint() + warm.in_flight_bytes;
       tier.warm_segments = warm.segments;
       tier.warm_rows = warm.rows;
       tier.warm_bytes = warm.bytes;

@@ -17,6 +17,7 @@
 #define CHRONICLE_DB_DATABASE_H_
 
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -99,11 +100,18 @@ class MutationLog {
     }
     return Status::OK();
   }
-  // Forces everything logged so far to stable storage. The tiered store
-  // calls this (through the database's pre-seal barrier) before writing a
-  // segment, upholding the write-ahead rule: rows never become durable in
-  // the store before their log records are. Default: nothing to sync.
+  // Forces everything logged so far to stable storage. The database calls
+  // it on its own thread when it must wait for the tiered store's sealer
+  // (the hot-tier cap, DrainSeals). Default: nothing to sync.
   virtual Status Sync() { return Status::OK(); }
+  // Highest append SN whose record is on stable storage, published after
+  // every sync the log does. The sealer writes a batch's segments only once
+  // this covers the batch's last SN: rows never become durable in the store
+  // before their log records are. Default: a log with nothing to sync has
+  // every record durable.
+  virtual SeqNum durable_sn() const {
+    return std::numeric_limits<SeqNum>::max();
+  }
   virtual Status LogRelationInsert(const std::string& relation,
                                    const Tuple& row) = 0;
   virtual Status LogRelationUpdate(const std::string& relation,
@@ -521,11 +529,16 @@ class ChronicleDatabase {
   }
   // Attaches/detaches the write-ahead hook between appends: the runtime
   // counterpart of DatabaseOptions::durability (shell \wal).
-  void AttachMutationLog(MutationLog* log) {
-    options_.durability.mutation_log = log;
-    durability_.mutation_log = log;
-  }
+  // Either drains the sealer first (DrainSeals), so no batch waits on a
+  // log that is going away.
+  void AttachMutationLog(MutationLog* log);
   void DetachMutationLog() { AttachMutationLog(nullptr); }
+
+  // Waits until every batch handed to the tiered store's sealer is sealed
+  // or has failed, making the log durable first. Close, checkpoints,
+  // backfill and recovery drain; tests drain before asserting tier sizes.
+  // Returns the first seal failure (the rows then stay in flight).
+  Status DrainSeals();
 
   const MaintenanceOptions& maintenance_options() const {
     return views_.maintenance_options();
@@ -565,6 +578,10 @@ class ChronicleDatabase {
 
   Result<AppendResult> Maintain(Result<AppendEvent> event);
 
+  // Tells the store how far the log is durable (everything, without a
+  // log) when that changed.
+  void PublishDurableSn();
+
   // Lazily opens the tiered store (first kTiered chronicle) and attaches
   // chronicle `id` to it.
   Status AttachTieredChronicle(ChronicleId id, const std::string& name,
@@ -593,6 +610,10 @@ class ChronicleDatabase {
   // registry is never mutated after sampling may have started.
   std::unique_ptr<store::TieredStore> store_;
   store::StoreMetricIds store_metric_ids_;
+  // The group's last SN when the current log was attached: earlier rows
+  // were never logged, so the write-ahead rule does not hold them back.
+  SeqNum log_attached_at_sn_ = 0;
+  SeqNum published_durable_sn_ = 0;
   uint64_t backfill_views_ = 0;
   uint64_t backfill_rows_ = 0;
   mutable std::unordered_map<ChronicleId, CaExprPtr> scan_cache_;

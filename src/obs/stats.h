@@ -129,8 +129,8 @@ struct WalStatsSnapshot : WalCounters {
 // One chronicle's hot/warm tier breakdown in the storage section.
 struct ChronicleTierSnapshot {
   std::string name;
-  uint64_t hot_rows = 0;
-  uint64_t hot_bytes = 0;        // ApproxTupleBytes footprint of the deque
+  uint64_t hot_rows = 0;         // the hot deque plus batches in flight
+  uint64_t hot_bytes = 0;        // ApproxTupleBytes footprint of those rows
   uint64_t warm_segments = 0;
   uint64_t warm_rows = 0;
   uint64_t warm_bytes = 0;       // on-disk encoded bytes
@@ -147,10 +147,13 @@ struct StoreCounters {
   uint64_t rows_evicted = 0;
   uint64_t bytes_written = 0;  // compressed bytes appended to the warm tier
   uint64_t seal_failures = 0;
-  // Wall time of each sealed segment (encode, write, fsyncs, validating
-  // reopen; the first segment of a SealRows call also carries the WAL
-  // barrier): the `storage_seal_ns` ledger entry, one sample per segment.
+  // Wall time of each sealed segment on the sealer thread (encode, write,
+  // fsyncs, validating reopen): the `storage_seal_ns` ledger entry, one
+  // sample per segment.
   LatencyHistogram seal_latency;
+  // Time an appending thread spent blocked at the hot-tier cap (twice the
+  // hot window) waiting for the sealer, one sample per wait.
+  LatencyHistogram cap_wait;
 };
 
 // Tiered-store statistics, copied from store::TieredStore by the database.

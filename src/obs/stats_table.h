@@ -225,19 +225,21 @@ template <> struct Table<StorageStatsSnapshot> { using S = StorageStatsSnapshot;
   Row<S>("backfill_views", &S::backfill_views, kSum, kCounter, "chronicle_storage_backfill_views_total", "Views registered with historical backfill"),
   Row<S>("backfill_rows", &S::backfill_rows, kSum, kCounter, "chronicle_storage_backfill_rows_total", "Rows replayed into late-registered views"),
   Row<S>("seal_latency", &S::seal_latency, kSum, kHistogram, "chronicle_storage_seal_ns", "Wall time to seal one segment"),
+  Row<S>("cap_wait", &S::cap_wait, kSum, kHistogram, "chronicle_storage_cap_wait_ns", "Time an append blocked at the hot-tier cap waiting for the sealer"),
   Row<S>("chronicles", &S::chronicles, kPrefix),
 }; static constexpr const char* text[] = {
   "  data dir: {data_dir}\n"
   "  segments=+{segments_sealed}/-{segments_evicted} quarantined={segments_quarantined} seal_failures={seal_failures}\n"
   "  rows sealed={rows_sealed} evicted={rows_evicted} bytes_written={bytes_written}\n",
   "?seal_latency   seal latency {seal_latency}\n",
+  "?cap_wait   cap wait {cap_wait}\n",
   "?backfill_views   backfill: {backfill_views} views, {backfill_rows} rows\n",
   "{chronicles}",
 }; }; static_assert(OneRowPerMember<StorageStatsSnapshot, StoreCounters>());
 
 template <> struct Table<ChronicleTierSnapshot> { using S = ChronicleTierSnapshot; static constexpr auto rows = std::tuple{
   Row<S>("name", &S::name, kKey, kInfo, "chronicle"),
-  Row<S>("hot_rows", &S::hot_rows, kSum, kGauge, "chronicle_storage_hot_rows", "Rows in the hot in-memory window"),
+  Row<S>("hot_rows", &S::hot_rows, kSum, kGauge, "chronicle_storage_hot_rows", "Rows in memory: the hot window plus batches in flight to the sealer"),
   Row<S>("hot_bytes", &S::hot_bytes, kSum, kGauge, "chronicle_storage_hot_bytes", "Approximate in-memory bytes of the hot window"),
   Row<S>("warm_segments", &S::warm_segments, kSum, kGauge, "chronicle_storage_warm_segments", "Sealed warm segment files", nullptr, true),
   Row<S>("warm_rows", &S::warm_rows, kSum, kGauge, "chronicle_storage_warm_rows", "Rows in sealed warm segments"),

@@ -16,12 +16,13 @@ Status Chronicle::ScanRetained(
 
 Status Chronicle::ScanWarmTier(
     const std::function<void(const ChronicleRow&)>& fn) const {
-  return sink_->ScanWarm(id_, fn);
+  return sink_->ScanHeld(id_, fn);
 }
 
 void Chronicle::AttachTierSink(TierSink* sink, size_t seal_batch_rows) {
   sink_ = sink;
   seal_batch_rows_ = seal_batch_rows == 0 ? 1 : seal_batch_rows;
+  sealed_at_attach_ = sink->last_sealed_sn(id_);
 }
 
 size_t Chronicle::ApproxTupleBytes(const Tuple& t) {
@@ -37,7 +38,7 @@ void Chronicle::AppendValidated(SeqNum sn, std::vector<Tuple> tuples) {
   last_sn_ = sn;
   if (retention_.kind == RetentionPolicy::Kind::kNone) return;
   if (retention_.kind == RetentionPolicy::Kind::kTiered && sink_ != nullptr &&
-      sn <= sink_->last_sealed_sn(id_)) {
+      sn <= sealed_at_attach_) {
     // Recovery replay (checkpoint restore or WAL tail) of rows the warm
     // tier already holds durably; counters were advanced above.
     return;
@@ -58,7 +59,8 @@ void Chronicle::AppendValidated(SeqNum sn, std::vector<Tuple> tuples) {
 
 void Chronicle::MaybeSealTier() {
   if (sink_ == nullptr) return;
-  while (rows_.size() >= retention_.window_rows + seal_batch_rows_) {
+  const size_t window = retention_.window_rows;
+  while (rows_.size() >= window + seal_batch_rows_) {
     size_t count = seal_batch_rows_;
     // Never split one sequence number across the warm/hot boundary: the
     // recovery dedup guard (`sn <= last_sealed_sn`) must be able to treat
@@ -66,10 +68,21 @@ void Chronicle::MaybeSealTier() {
     while (count < rows_.size() && rows_[count - 1].sn == rows_[count].sn) {
       ++count;
     }
-    if (!sink_->SealRows(id_, rows_, count).ok()) return;
+    std::vector<ChronicleRow> batch;
+    batch.reserve(count);
+    size_t bytes = 0;
     for (size_t i = 0; i < count; ++i) {
-      meter_.Sub(ApproxTupleBytes(rows_.front().values));
+      bytes += ApproxTupleBytes(rows_.front().values);
+      batch.push_back(std::move(rows_.front()));
       rows_.pop_front();
+    }
+    meter_.Sub(bytes);
+    const uint64_t in_flight = sink_->HandOff(id_, std::move(batch), bytes);
+    // The hot-tier cap: a sealer that falls behind (a slow disk) pushes
+    // back on ingest. A failed seal returns at once; its rows stay in
+    // flight and the next hand-off retries.
+    if (rows_.size() + in_flight >= 2 * window) {
+      (void)sink_->WaitForSeals(id_);
     }
   }
 }

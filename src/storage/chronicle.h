@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,9 @@ struct RetentionPolicy {
   }
 };
 
+// An immutable batch of rows a chronicle handed to its TierSink.
+using RowBatch = std::shared_ptr<const std::vector<ChronicleRow>>;
+
 // Where a tiered chronicle spills rows that age out of the hot window.
 // Implemented by store::TieredStore; declared here so the storage layer
 // never depends on the store library.
@@ -57,22 +61,30 @@ class TierSink {
  public:
   virtual ~TierSink() = default;
 
-  // Durably persists the oldest `count` rows of the hot window `rows`
-  // (read in place, never copied; the cut never splits a sequence number).
-  // On OK the caller may drop those rows from memory; on error it must
-  // keep them hot.
-  virtual Status SealRows(ChronicleId id, const std::deque<ChronicleRow>& rows,
-                          size_t count) = 0;
-  // Highest sequence number durably sealed for `id`; 0 if none. Appends at
-  // or below this SN are already in the warm tier (recovery replay).
+  // Takes the oldest rows of `id`'s hot deque (whole SNs, oldest first)
+  // and seals them in the background. Until the sink publishes their
+  // segments the rows stay readable as a batch in flight. `bytes` is their
+  // in-memory footprint. Returns the rows `id` now has in flight, this
+  // batch included.
+  virtual uint64_t HandOff(ChronicleId id, std::vector<ChronicleRow> rows,
+                           size_t bytes) = 0;
+  // Backpressure at the hot-tier cap: makes the log durable on the calling
+  // thread, then blocks until `id` has nothing in flight or its seal
+  // failed (the rows then stay in flight, and the next hand-off retries).
+  virtual Status WaitForSeals(ChronicleId id) = 0;
+  // Highest sequence number durably sealed for `id`; 0 if none.
   virtual SeqNum last_sealed_sn(ChronicleId id) const = 0;
-  // Rows currently retained in the warm tier for `id`.
-  virtual uint64_t WarmRows(ChronicleId id) const = 0;
-  // Applies `fn` to every warm row of `id`, oldest first. Fails closed if a
-  // segment cannot be decoded.
-  virtual Status ScanWarm(
+  // Rows `id` holds outside its hot deque: warm segments plus batches in
+  // flight.
+  virtual uint64_t HeldRows(ChronicleId id) const = 0;
+  // Applies `fn` to every row counted by HeldRows, oldest first, from one
+  // snapshot: a seal published meanwhile is seen exactly once. Fails
+  // closed if a segment cannot be decoded.
+  virtual Status ScanHeld(
       ChronicleId id,
       const std::function<void(const ChronicleRow&)>& fn) const = 0;
+  // The batches `id` has in flight, oldest first.
+  virtual std::vector<RowBatch> InFlight(ChronicleId id) const = 0;
 };
 
 class Chronicle {
@@ -96,17 +108,23 @@ class Chronicle {
   SeqNum last_sn() const { return last_sn_; }
 
   // The hot (in-memory) retained suffix, oldest first. Under kTiered this
-  // is only the hot window; use ScanRetained / num_retained for the full
-  // retained prefix including warm segments.
+  // is only the hot deque; batches in flight to the sealer and warm
+  // segments come through ScanRetained / num_retained.
   const std::deque<ChronicleRow>& retained() const { return rows_; }
 
-  // Total rows retained across warm (on-disk) and hot tiers.
+  // Total rows retained across warm (on-disk), in-flight and hot tiers.
   uint64_t num_retained() const {
-    return (sink_ != nullptr ? sink_->WarmRows(id_) : 0) + rows_.size();
+    return (sink_ != nullptr ? sink_->HeldRows(id_) : 0) + rows_.size();
   }
 
-  // Applies `fn` to every retained row, oldest first: warm segments (if a
-  // tier sink is attached) then the hot deque. The templated overload is
+  // Batches handed to the sealer and not yet published, oldest first; with
+  // retained() they are the rows no segment holds yet.
+  std::vector<RowBatch> in_flight() const {
+    return sink_ != nullptr ? sink_->InFlight(id_) : std::vector<RowBatch>{};
+  }
+
+  // Applies `fn` to every retained row, oldest first: warm segments and
+  // batches in flight (if a tier sink is attached), then the hot deque. The templated overload is
   // the hot path — `fn` is invoked directly with no per-row indirect call.
   // Returns non-OK only if a warm segment cannot be decoded.
   template <typename Visitor>
@@ -125,7 +143,8 @@ class Chronicle {
 
   // Attaches the warm-tier sink for a kTiered chronicle. `seal_batch_rows`
   // rows are handed to the sink per seal (extended so one SN never spans
-  // the hot/warm boundary). Must be attached before the first append.
+  // the hot/warm boundary). Must be attached before the first append, and
+  // after the sink adopted what a previous run sealed.
   void AttachTierSink(TierSink* sink, size_t seal_batch_rows);
 
   const TierSink* tier_sink() const { return sink_; }
@@ -136,8 +155,9 @@ class Chronicle {
   // Called by ChronicleGroup after SN validation and schema validation.
   void AppendValidated(SeqNum sn, std::vector<Tuple> tuples);
 
-  // Spills hot rows past the window to the tier sink, oldest first. A sink
-  // failure leaves the rows hot (retention degrades; nothing is lost).
+  // Hands hot rows past the window to the tier sink, oldest first, and
+  // waits for the sealer once the hot deque plus the rows in flight reach
+  // twice the window.
   void MaybeSealTier();
 
   // Out-of-line bridge so the templated ScanRetained stays header-only
@@ -156,6 +176,10 @@ class Chronicle {
   MemoryMeter meter_;
   TierSink* sink_ = nullptr;  // not owned; null unless kTiered and attached
   size_t seal_batch_rows_ = 0;
+  // The sink's last sealed SN at attach. Appends at or below it are
+  // recovery replay (checkpoint restore or WAL tail) of rows the warm tier
+  // already holds; every later seal covers only SNs appended since.
+  SeqNum sealed_at_attach_ = 0;
 };
 
 }  // namespace chronicle

@@ -55,13 +55,15 @@ Result<AppendEvent> ChronicleGroup::Append(ChronicleId id,
 
 Result<AppendEvent> ChronicleGroup::AppendMulti(
     std::vector<std::pair<ChronicleId, std::vector<Tuple>>> inserts,
-    Chronon chronon) {
-  return AppendWithSeqNum(last_sn_ + 1, chronon, std::move(inserts));
+    Chronon chronon, bool tuples_validated) {
+  return AppendWithSeqNum(last_sn_ + 1, chronon, std::move(inserts),
+                          tuples_validated);
 }
 
 Result<AppendEvent> ChronicleGroup::AppendWithSeqNum(
     SeqNum sn, Chronon chronon,
-    std::vector<std::pair<ChronicleId, std::vector<Tuple>>> inserts) {
+    std::vector<std::pair<ChronicleId, std::vector<Tuple>>> inserts,
+    bool tuples_validated) {
   if (sn <= last_sn_) {
     return Status::OutOfRange(
         "sequence number " + std::to_string(sn) +
@@ -82,17 +84,28 @@ Result<AppendEvent> ChronicleGroup::AppendWithSeqNum(
       return Status::InvalidArgument("empty tuple batch for chronicle '" +
                                      target->name() + "'");
     }
+    if (tuples_validated) continue;
     for (const Tuple& t : tuples) {
       CHRONICLE_RETURN_NOT_OK(ValidateTuple(target->schema(), t));
     }
   }
 
+  // The event carries the rows to the maintenance machinery; a chronicle
+  // that retains them gets a copy, one that retains nothing only counts.
   AppendEvent event;
   event.sn = sn;
   event.chronon = chronon;
-  event.inserts = inserts;  // keep a copy for the maintenance machinery
+  event.inserts.reserve(inserts.size());
   for (auto& [id, tuples] : inserts) {
-    chronicles_[id]->AppendValidated(sn, std::move(tuples));
+    Chronicle& chron = *chronicles_[id];
+    if (chron.retention().kind == RetentionPolicy::Kind::kNone) {
+      chron.total_appended_ += tuples.size();
+      chron.last_sn_ = sn;
+      event.inserts.emplace_back(id, std::move(tuples));
+    } else {
+      event.inserts.emplace_back(id, tuples);
+      chron.AppendValidated(sn, std::move(tuples));
+    }
   }
   last_sn_ = sn;
   last_chronon_ = chronon;

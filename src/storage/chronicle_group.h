@@ -76,16 +76,19 @@ class ChronicleGroup {
 
   // Appends to several member chronicles under ONE shared fresh sequence
   // number (the multi-chronicle tick that feeds SN-equijoins).
+  // `tuples_validated`: the caller already ran ValidateTuple over every row
+  // against its chronicle's schema (the database does, before logging).
   Result<AppendEvent> AppendMulti(
       std::vector<std::pair<ChronicleId, std::vector<Tuple>>> inserts,
-      Chronon chronon);
+      Chronon chronon, bool tuples_validated = false);
 
   // Explicit-SN variant used to exercise (and test) the sequencing
   // discipline: fails with OutOfRange unless sn > last_sn(), and with
   // OutOfRange if chronon regresses.
   Result<AppendEvent> AppendWithSeqNum(
       SeqNum sn, Chronon chronon,
-      std::vector<std::pair<ChronicleId, std::vector<Tuple>>> inserts);
+      std::vector<std::pair<ChronicleId, std::vector<Tuple>>> inserts,
+      bool tuples_validated = false);
 
   // Sum of member chronicles' retained-row footprints.
   size_t MemoryFootprint() const;

@@ -8,28 +8,39 @@
 // paper §2.1), and serves oldest-first scans for window queries, the naive
 // baseline, and replayable view backfill.
 //
-// Recovery contract: a sealed segment is durable before the hot rows it
-// covers are dropped, so sealed segments form a checkpoint of the
+// Seals run on one sealer thread per store, started at the first hand-off.
+// A chronicle hands its oldest hot rows over as an immutable batch; the
+// sealer writes the batch's segments once the log is durable through the
+// batch's last SN (the write-ahead rule), then publishes the segments and
+// drops the batch in one step under the store mutex. Readers snapshot the
+// segment index and the batches in flight under that mutex, so they see
+// every row exactly once.
+//
+// Recovery contract: a sealed segment is durable before the batch it
+// covers is dropped, so sealed segments form a checkpoint of the
 // chronicle prefix. On restart the chronicle-level dedup guard
 // (`sn <= last_sealed_sn`) suppresses checkpoint/WAL replay of rows the
 // warm tier already holds; corrupt or torn segments are quarantined at
 // attach and their rows fall back to the WAL tail (or expire).
 //
-// Thread safety: mutations (seal, evict, attach) are driver-thread calls;
-// reads of counters and tier sizes may come from the monitoring thread, so
-// all bookkeeping is behind a mutex and aggregate counters are atomics.
+// Thread safety: attach, hand-off, waits and the barrier run on the
+// thread that appends (the owner); the sealer and the monitoring thread
+// only touch state behind the mutex. The mutex is never held across file
+// I/O.
 
 #ifndef CHRONICLE_STORE_TIERED_STORE_H_
 #define CHRONICLE_STORE_TIERED_STORE_H_
 
-#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -78,12 +89,19 @@ struct WarmTierInfo {
   uint64_t bytes = 0;      // on-disk (encoded) bytes
   uint64_t raw_bytes = 0;  // in-memory-equivalent bytes of the same rows
   SeqNum last_sealed_sn = 0;
+  uint64_t in_flight_rows = 0;   // handed off, not yet published
+  uint64_t in_flight_bytes = 0;  // their in-memory footprint
 };
 
 class TieredStore : public TierSink {
  public:
   // Creates `options.data_dir` if missing and validates it is usable.
   static Result<std::unique_ptr<TieredStore>> Open(StorageOptions options);
+
+  // Stops the sealer after it has sealed every batch the log allows;
+  // batches whose log records are not yet durable are dropped, as a crash
+  // would drop them.
+  ~TieredStore() override;
 
   // Registers a chronicle and adopts any segments already on disk for it
   // (recovery). Corrupt segments are quarantined (renamed *.quarantined);
@@ -93,25 +111,35 @@ class TieredStore : public TierSink {
   Status AttachChronicle(ChronicleId id, const std::string& name);
 
   // TierSink:
-  Status SealRows(ChronicleId id, const std::deque<ChronicleRow>& rows,
-                  size_t count) override;
+  uint64_t HandOff(ChronicleId id, std::vector<ChronicleRow> rows,
+                   size_t bytes) override;
+  Status WaitForSeals(ChronicleId id) override;
   SeqNum last_sealed_sn(ChronicleId id) const override;
-  uint64_t WarmRows(ChronicleId id) const override;
-  Status ScanWarm(
+  uint64_t HeldRows(ChronicleId id) const override;
+  Status ScanHeld(
       ChronicleId id,
       const std::function<void(const ChronicleRow&)>& fn) const override;
+  std::vector<RowBatch> InFlight(ChronicleId id) const override;
 
-  // Pull-based oldest-first row stream over the warm tier of one
-  // chronicle, for the k-way backfill merge.
+  // Makes the log durable (the barrier), retries failed seals, and blocks
+  // until nothing is in flight or every remaining batch failed. Returns
+  // the first failure.
+  Status Drain();
+
+  // Pull-based oldest-first row stream over what one chronicle holds
+  // outside its hot deque (warm segments, then batches in flight), for the
+  // k-way backfill merge.
   class WarmCursor {
    public:
-    // Decodes the next warm row; false once exhausted.
+    // Decodes the next row; false once exhausted.
     Result<bool> Next(ChronicleRow* out);
 
    private:
     friend class TieredStore;
-    std::vector<const SegmentReader*> segments_;
+    std::vector<std::shared_ptr<const SegmentReader>> segments_;
+    std::vector<RowBatch> batches_;
     size_t index_ = 0;
+    size_t row_ = 0;
     std::unique_ptr<SegmentReader::Cursor> cursor_;
   };
   WarmCursor OpenWarmCursor(ChronicleId id) const;
@@ -119,13 +147,15 @@ class TieredStore : public TierSink {
   // The segment covering `sn`, or null (index lookup; exposed for tests).
   const SegmentReader* FindSegmentFor(ChronicleId id, SeqNum sn) const;
 
-  // Write-ahead barrier, run once per SealRows before any segment is
-  // written. The database points this at MutationLog::Sync so a seal can
-  // never make rows durable in the store ahead of their WAL records — a
-  // crash would otherwise recover a warm tier the replayed log (and thus
-  // every maintained view) has never seen. A failing barrier aborts the
-  // seal; the rows stay hot and the seal is retried on the next append.
-  void SetPreSealBarrier(std::function<Status()> barrier);
+  // The write-ahead rule: a batch's segments are written only once the
+  // log is durable through the batch's last SN. The database publishes
+  // that SN after each log sync (no log: every SN is durable).
+  void SetDurableSn(SeqNum sn);
+  // Run on the owner thread before a wait (WaitForSeals, Drain): forces
+  // the log durable and publishes it through SetDurableSn. A failing
+  // barrier fails the wait, counted as a seal failure; the rows stay in
+  // flight.
+  void SetDurabilityBarrier(std::function<Status()> barrier);
 
   // Registers the storage_* counter catalog (construction time only).
   static StoreMetricIds RegisterMetrics(obs::MetricsRegistry* metrics);
@@ -143,29 +173,69 @@ class TieredStore : public TierSink {
   struct ChronicleTier {
     std::string name;
     std::string dir;
-    // Keyed by base SN; iteration order is scan order.
-    std::map<SeqNum, std::unique_ptr<SegmentReader>> segments;
+    // Keyed by base SN; iteration order is scan order. Shared so a reader's
+    // snapshot outlives an eviction.
+    std::map<SeqNum, std::shared_ptr<const SegmentReader>> segments;
     uint64_t rows = 0;
     uint64_t bytes = 0;
     uint64_t raw_bytes = 0;
     SeqNum last_sealed_sn = 0;
+    // Handed off and not yet published, oldest first; the sealer takes the
+    // front.
+    struct Batch {
+      RowBatch rows;
+      size_t bytes = 0;
+    };
+    std::deque<Batch> in_flight;
+    uint64_t in_flight_rows = 0;
+    uint64_t in_flight_bytes = 0;
+    // The front batch's last seal failed; it waits for a retry.
+    Status failure;
+  };
+  // One segment written by the sealer, published with its batch.
+  struct SealedSegment {
+    std::shared_ptr<const SegmentReader> reader;
+    uint64_t image_bytes = 0;
+    int64_t seal_ns = 0;
   };
 
   // Adds a validated segment (sealed or adopted) to the tier's index and
   // totals.
   static void AddSegment(ChronicleTier& tier,
-                         std::unique_ptr<SegmentReader> reader);
-  // Seals one encoder's worth of rows [begin, end) as a single segment.
-  Status SealOne(ChronicleTier& tier, ChronicleId id,
-                 const std::deque<ChronicleRow>& rows, size_t begin,
-                 size_t end);
-  void EnforceBudget(ChronicleTier& tier);
+                         std::shared_ptr<const SegmentReader> reader);
+  // Steps 3-5 of the seal path, off the mutex: encodes `rows` into
+  // segments at the row/byte thresholds, writes and re-validates each.
+  Status WriteSegments(ChronicleId id, const std::string& dir,
+                       const std::vector<ChronicleRow>& rows,
+                       std::vector<SealedSegment>* out) const;
+  // Under the mutex: the front batch of a tier that may be sealed now.
+  ChronicleTier* NextSealable(ChronicleId* id);
+  void SealerLoop();
+  // Runs the barrier (counting its failure), then clears `tier`'s failure
+  // (every tier's when null) so the sealer retries it.
+  Status BarrierAndRetry(ChronicleTier* tier);
+  // Under the mutex: nothing of `tier` is left for the sealer to do now
+  // (all sealed, the front failed, or the log is not durable through it),
+  // and the status a waiter returns then.
+  bool Settled(const ChronicleTier& tier) const;
+  Status Unsealed(const ChronicleTier& tier) const;
+  // Unlinks the oldest segments past the budget; returns their paths for
+  // removal outside the mutex.
+  std::vector<std::string> EnforceBudget(ChronicleTier& tier);
+  void CountFailure();
 
   StorageOptions options_;
   mutable std::mutex mutex_;
   std::unordered_map<ChronicleId, ChronicleTier> tiers_;
   obs::StoreCounters counters_;
-  std::function<Status()> pre_seal_barrier_;
+  std::function<Status()> barrier_;
+
+  // The sealer. seal_cv_ wakes it; done_cv_ wakes waiters after each seal.
+  std::thread sealer_;
+  std::condition_variable seal_cv_;
+  std::condition_variable done_cv_;
+  bool stop_ = false;
+  SeqNum durable_sn_ = std::numeric_limits<SeqNum>::max();
 
   obs::MetricsRegistry* metrics_ = nullptr;
   StoreMetricIds ids_;

@@ -87,6 +87,10 @@ Result<RecoveryReport> Recover(const std::string& dir,
       dir, report.watermark,
       [db](const WalRecord& record) { return ApplyRecord(record, db); },
       &report.replay));
+  // Replay handed batches to the sealer; recovery ends with them sealed,
+  // the same segment layout an uninterrupted run reaches. A failed seal
+  // keeps its rows in flight, as at run time.
+  (void)db->DrainSeals();
   return report;
 }
 

@@ -485,7 +485,9 @@ Status WalMutationLog::LogAppend(
                                db_->group().GetChronicle(id));
     batches.push_back({&chron->name(), &tuples});
   }
-  return wal_->LogAppend(sn, chronon, batches).status();
+  CHRONICLE_RETURN_NOT_OK(wal_->LogAppend(sn, chronon, batches).status());
+  logged_sn_ = sn;
+  return NoteSync(Status::OK());
 }
 
 Status WalMutationLog::LogAppendMany(const std::vector<PendingAppend>& ticks) {
@@ -503,22 +505,36 @@ Status WalMutationLog::LogAppendMany(const std::vector<PendingAppend>& ticks) {
     }
     group.push_back(std::move(ref));
   }
-  return wal_->LogAppendGroup(group).status();
+  CHRONICLE_RETURN_NOT_OK(wal_->LogAppendGroup(group).status());
+  if (!ticks.empty()) logged_sn_ = ticks.back().sn;
+  return NoteSync(Status::OK());
+}
+
+Status WalMutationLog::Sync() { return NoteSync(wal_->Sync()); }
+
+Status WalMutationLog::NoteSync(Status logged) {
+  if (logged.ok() && wal_->last_synced_lsn() + 1 == wal_->next_lsn()) {
+    durable_sn_ = logged_sn_;
+  }
+  return logged;
 }
 
 Status WalMutationLog::LogRelationInsert(const std::string& relation,
                                          const Tuple& row) {
-  return wal_->Log(WalRecord::MakeRelationInsert(relation, row)).status();
+  return NoteSync(
+      wal_->Log(WalRecord::MakeRelationInsert(relation, row)).status());
 }
 
 Status WalMutationLog::LogRelationUpdate(const std::string& relation,
                                          const Value& key, const Tuple& row) {
-  return wal_->Log(WalRecord::MakeRelationUpdate(relation, key, row)).status();
+  return NoteSync(
+      wal_->Log(WalRecord::MakeRelationUpdate(relation, key, row)).status());
 }
 
 Status WalMutationLog::LogRelationDelete(const std::string& relation,
                                          const Value& key) {
-  return wal_->Log(WalRecord::MakeRelationDelete(relation, key)).status();
+  return NoteSync(
+      wal_->Log(WalRecord::MakeRelationDelete(relation, key)).status());
 }
 
 }  // namespace wal

@@ -164,8 +164,8 @@ class WalMutationLog : public MutationLog {
                    const std::vector<std::pair<ChronicleId, std::vector<Tuple>>>&
                        inserts) override;
   Status LogAppendMany(const std::vector<PendingAppend>& ticks) override;
-  // Pre-seal write-ahead barrier for the tiered store.
-  Status Sync() override { return wal_->Sync(); }
+  Status Sync() override;
+  SeqNum durable_sn() const override { return durable_sn_; }
   Status LogRelationInsert(const std::string& relation,
                            const Tuple& row) override;
   Status LogRelationUpdate(const std::string& relation, const Value& key,
@@ -174,8 +174,14 @@ class WalMutationLog : public MutationLog {
                            const Value& key) override;
 
  private:
+  // After a log call: when the log is synced through its last record, every
+  // append logged so far is durable.
+  Status NoteSync(Status logged);
+
   Wal* wal_;
   const ChronicleDatabase* db_;
+  SeqNum logged_sn_ = 0;   // SN of the last append logged
+  SeqNum durable_sn_ = 0;  // SN of the last append a sync covered
 };
 
 // --- replay / inspection machinery (used by recovery.h and tests) ---

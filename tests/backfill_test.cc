@@ -132,7 +132,8 @@ TEST(Backfill, TieredSpillsActuallyHappened) {
                   .ok());
   AppendWorkload(&db, 120);
   ASSERT_NE(db.tiered_store(), nullptr);
-  EXPECT_GT(db.tiered_store()->WarmRows(0), 100u);
+  ASSERT_TRUE(db.DrainSeals().ok());
+  EXPECT_GT(db.tiered_store()->HeldRows(0), 100u);
 
   CaExprPtr scan = db.ScanChronicle("calls").value();
   auto report = db.RegisterViewWithBackfill(
@@ -142,7 +143,7 @@ TEST(Backfill, TieredSpillsActuallyHappened) {
           .value());
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   // Replayed rows came (mostly) from disk, not the hot window.
-  EXPECT_GT(report->rows_replayed, db.tiered_store()->WarmRows(0));
+  EXPECT_GT(report->rows_replayed, db.tiered_store()->HeldRows(0));
 }
 
 TEST(Backfill, BackfillOnEmptyChronicleIsANoop) {

@@ -26,6 +26,11 @@
 //
 // and the log reopens for new appends. A failure names the case, k, the
 // operation at k, the crash state and the first violated check.
+//
+// Segments are sealed on each store's background sealer thread. The
+// recorder is process-wide and thread-safe, so the log interleaves the
+// sealer's operations with the appending thread's in the order they
+// happened; both scripts check that they sealed segments at all.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -140,9 +145,22 @@ Status CreateShardedSchema(shard::ShardedDatabase* db) {
   return Status::OK();
 }
 
-// Single engine: WAL group commit and rotation, RETAIN HOT sealing, and
-// WAL checkpoints taken after seals (the third prunes the first and
-// truncates the log), each followed by more appends.
+// Segment files a recording sealed (the rename that publishes each).
+size_t SegmentsSealed(const std::vector<FileOp>& ops) {
+  size_t sealed = 0;
+  for (const FileOp& op : ops) {
+    if (op.kind == FileOp::Kind::kRename && op.target.size() > 4 &&
+        op.target.compare(op.target.size() - 4, 4, ".seg") == 0) {
+      ++sealed;
+    }
+  }
+  return sealed;
+}
+
+// Single engine: WAL group commit and rotation, RETAIN HOT sealing in the
+// background, and WAL checkpoints taken while batches may be in flight
+// (the third prunes the first and truncates the log), each followed by
+// more appends.
 Recording RecordSingle(const std::string& root) {
   Recording rec;
   rec.ticks.resize(1);
@@ -170,12 +188,13 @@ Recording RecordSingle(const std::string& root) {
     db.DetachMutationLog();
   }
   rec.ops = recorder.ops();
+  EXPECT_GT(SegmentsSealed(rec.ops), 0u);
   return rec;
 }
 
 // Four shards: per-shard WALs (default group commit: each shard syncs at
-// its seal barriers and at close) and per-shard sealing, fed by the async
-// pipeline's shard workers.
+// the hot-tier cap and at close) and per-shard background sealing, fed by
+// the async pipeline's shard workers.
 Recording RecordSharded(const std::string& root) {
   Recording rec;
   rec.ticks.resize(kShards);
@@ -205,6 +224,7 @@ Recording RecordSharded(const std::string& root) {
     EXPECT_TRUE((*db)->CloseWals().ok());
   }
   rec.ops = recorder.ops();
+  EXPECT_GT(SegmentsSealed(rec.ops), 0u);
   return rec;
 }
 

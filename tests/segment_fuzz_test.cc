@@ -230,6 +230,7 @@ TEST(SegmentFuzz, StoreQuarantinesCorruptionAndKeepsNewestSuffix) {
     for (int i = 1; i <= 40; ++i) {
       ASSERT_TRUE(group.Append(id, {Tuple{Value(i)}}).ok());
     }
+    ASSERT_TRUE((*store)->Drain().ok());
     sealed = (*store)->last_sealed_sn(id);
   }
 
@@ -255,7 +256,7 @@ TEST(SegmentFuzz, StoreQuarantinesCorruptionAndKeepsNewestSuffix) {
   std::vector<SeqNum> sns;
   ASSERT_TRUE(
       (*store)
-          ->ScanWarm(0, [&](const ChronicleRow& r) { sns.push_back(r.sn); })
+          ->ScanHeld(0, [&](const ChronicleRow& r) { sns.push_back(r.sn); })
           .ok());
   ASSERT_FALSE(sns.empty());
   EXPECT_EQ(sns.back(), sealed);
@@ -308,7 +309,7 @@ TEST(SegmentFuzz, CorruptNewestSegmentFallsBackEntirely) {
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE((*store)->AttachChronicle(0, "calls").ok());
   EXPECT_EQ((*store)->last_sealed_sn(0), 0u);
-  EXPECT_EQ((*store)->WarmRows(0), 0u);
+  EXPECT_EQ((*store)->HeldRows(0), 0u);
   EXPECT_EQ((*store)->counters().segments_quarantined, segs.size());
 }
 

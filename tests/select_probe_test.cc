@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <optional>
 #include <string>
@@ -174,24 +175,10 @@ TEST_P(SelectProbeTest, LiteralTypesAgainstAnInt64Key) {
 TEST_P(SelectProbeTest, NullLiteralAgainstANullGroup) {
   // The views hold a NULL caller group and a NULL region group, but `=`
   // with NULL is never true.
-  cql::Statement stmt =
-      ParseSelect("SELECT * FROM by_caller WHERE caller = 0");
-  QueryOf(stmt).where = Eq(Col("caller"), Lit(Value()));
-  Result<ExecResult> got = ExpectSameAsScan(std::move(stmt), "caller = NULL");
-  ASSERT_TRUE(got.ok());
-  EXPECT_TRUE(got->rows.empty());
-
-  stmt = ParseSelect("SELECT * FROM by_pair WHERE caller = 3");
-  QueryOf(stmt).where =
-      ScalarExpr::And(Eq(Col("caller"), Lit(Value(int64_t{3}))),
-                      Eq(Lit(Value()), Col("region")));
-  got = ExpectSameAsScan(std::move(stmt), "caller = 3 AND NULL = region");
-  ASSERT_TRUE(got.ok());
-  EXPECT_TRUE(got->rows.empty());
-
-  // In CQL text NULL in an expression is a column name: same error as the
-  // scan.
-  EXPECT_EQ(Rows("SELECT * FROM by_caller WHERE caller = NULL"), 999u);
+  EXPECT_EQ(Rows("SELECT * FROM by_caller WHERE caller = NULL"), 0u);
+  EXPECT_EQ(Rows("SELECT * FROM by_pair WHERE caller = 3 AND NULL = region"),
+            0u);
+  EXPECT_EQ(Rows("SELECT * FROM by_caller WHERE caller = null"), 0u);
 }
 
 TEST_P(SelectProbeTest, TwoKeyView) {
@@ -308,6 +295,38 @@ TEST_F(PinnedKeyTest, EveryKeyPinnedByEqualityProbes) {
   key = Pinned("k = 1 AND k = 2 AND s = 'a'");
   ASSERT_TRUE(key.has_value());
   EXPECT_EQ(Render((*key)[0]), "i:1");
+  // A negative number is a literal, equal to what 0 - n evaluates to.
+  key = Pinned("k = -5 AND s = 'a'");
+  ASSERT_TRUE(key.has_value());
+  EXPECT_EQ(Render((*key)[0]), "i:-5");
+  key = Pinned("k = -9223372036854775807 AND s = 'a'");
+  ASSERT_TRUE(key.has_value());
+  EXPECT_EQ(Render((*key)[0]), "i:-9223372036854775807");
+  key = Pinned("k = -2.0 AND s = 'a'");
+  ASSERT_TRUE(key.has_value());
+  EXPECT_EQ(Render((*key)[0]), "i:-2");  // coerced to the column's INT64
+}
+
+TEST_F(PinnedKeyTest, NegativeLiteralsFoldToWhatSubtractionGives) {
+  for (const char* text : {"-5", "-0", "-9223372036854775807", "-2.5",
+                           "-0.0", "-1e308"}) {
+    Result<cql::Statement> folded =
+        cql::ParseStatement(std::string("SELECT * FROM v WHERE k = ") + text);
+    Result<cql::Statement> subtracted = cql::ParseStatement(
+        std::string("SELECT * FROM v WHERE k = 0 - ") + (text + 1));
+    ASSERT_TRUE(folded.ok() && subtracted.ok()) << text;
+    const ScalarExpr& lit = QueryOf(*folded).where->child(1);
+    const ScalarExpr& sub = QueryOf(*subtracted).where->child(1);
+    EXPECT_EQ(lit.kind(), ExprKind::kLiteral) << text;
+    const Tuple empty;
+    Result<Value> want = sub.Eval(EvalRow{&empty});
+    Result<Value> got = lit.Eval(EvalRow{&empty});
+    ASSERT_TRUE(want.ok() && got.ok()) << text;
+    EXPECT_EQ(Render(*got), Render(*want)) << text;
+    EXPECT_EQ(got->is_double() && std::signbit(got->dbl()),
+              want->is_double() && std::signbit(want->dbl()))
+        << text;
+  }
 }
 
 TEST_F(PinnedKeyTest, OtherShapesScan) {
@@ -318,7 +337,7 @@ TEST_F(PinnedKeyTest, OtherShapesScan) {
   EXPECT_FALSE(Pinned("k != 5 AND s = 'a'").has_value());
   EXPECT_FALSE(Pinned("k = x AND s = 'a'").has_value());  // no literal
   EXPECT_FALSE(Pinned("k = 2 + 3 AND s = 'a'").has_value());
-  EXPECT_FALSE(Pinned("k = -5 AND s = 'a'").has_value());  // arithmetic
+  EXPECT_FALSE(Pinned("k = -(5) AND s = 'a'").has_value());  // arithmetic
   // 2^53 and up: one double equals several int64 values.
   EXPECT_FALSE(Pinned("k = 9007199254740992.0 AND s = 'a'").has_value());
   EXPECT_FALSE(Pinned("d = 1.5", {2}).has_value());  // DOUBLE key

@@ -99,6 +99,7 @@ StatsSnapshot Snapshot(uint64_t base) {
   st.bytes_written = n++;
   st.seal_failures = n++;
   st.seal_latency = Hist(&n);
+  st.cap_wait = Hist(&n);
   st.backfill_views = n++;
   st.backfill_rows = n++;
   for (const char* name : {"calls", "trades"}) {

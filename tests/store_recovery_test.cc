@@ -105,6 +105,7 @@ Snapshot ReferenceAfter(const std::string& store_dir, int steps) {
   ApplyDdl(&db);
   CallRecordGenerator gen;
   for (int step = 0; step < steps; ++step) ApplyStep(&db, &gen, step);
+  EXPECT_TRUE(db.DrainSeals().ok());  // recovery ends drained
   return Capture(db, store_dir);
 }
 
@@ -227,6 +228,7 @@ TEST(StoreRecovery, RecoverResumeAndRecoverAgain) {
     CallRecordGenerator gen;
     for (int step = 0; step < 30; ++step) ApplyStep(&ref, &gen, step);
   }
+  ASSERT_TRUE(ref.DrainSeals().ok());  // recovery ends drained
   ExpectMatches(recovered, Capture(ref, clean.store_dir()));
 }
 
